@@ -8,8 +8,8 @@ filtered spaces, and Gromov-Hausdorff style stability checks.
 """
 
 from .errors import (BadParameter, BoundExceeded, CapExceeded, ClosureError,
-                     DegreeOutOfRange, DimensionTooLarge, InconsistentTower,
-                     InfinityMismatch, MissingPoint, NegativeEpsilon,
+                     DegreeOutOfRange, DimensionTooLarge, InfinityMismatch,
+                     MissingPoint, NegativeEpsilon,
                      NotACorrespondence, NotContinuous, NotReflexive,
                      ParseError, ShapeMismatch, SourceTargetMismatch)
 from .spaces import (ContinuousMap, FiniteClosureSpace, IntervalFamily,

@@ -137,10 +137,15 @@ def rank_and_invariants(n_rows, columns):
             p = int(M[r, j])
             rows = nz[nz != r]
             if rows.size:
-                M[rows, :] -= np.outer(col[rows] * p, M[r, :])
-                if not exact and int(np.abs(M[rows, :]).max()) > _OVERFLOW_LIMIT:
+                # |col[rows]| * |M[r, :]| + |M[rows, :]| bounds the new
+                # entries, and rows together with r make up nz
+                if not exact and ((int(np.abs(col[rows]).max()) + 1)
+                                  * int(np.abs(M[nz, :]).max())
+                                  > _OVERFLOW_LIMIT):
                     M = M.astype(object)
+                    col = col.astype(object)
                     exact = True
+                M[rows, :] -= np.outer(col[rows] * p, M[r, :])
             M[r, :] = 0
             ones += 1
             progress = True

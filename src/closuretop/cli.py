@@ -19,7 +19,8 @@ from .filtrations import (Decoration, filtered_from_metric,
                           filtered_from_sublevel,
                           filtered_from_weighted_digraph, metric_from_csv,
                           digraph_from_text, sublevel_from_csv)
-from .homology import homology, parse_theory, singular_chain_complex
+from .homology import (homology, parse_coefficients, parse_theory,
+                       singular_chain_complex)
 from .homotopy import HomotopyQuery, homotopic
 from .persistence import (bottleneck, diagram_to_json, gh_distance,
                           load_diagram, persistence_complex)
@@ -115,6 +116,12 @@ def _plot_svg(diagrams, path):
         fh.write("\n".join(parts) + "\n")
 
 
+def _arithmetic(coeffs) -> str:
+    kind, p = parse_coefficients(coeffs)
+    return {"z": "exact-integer", "q": "exact-rational"}.get(
+        kind, f"exact-mod-{p}")
+
+
 def cmd_homology(args) -> int:
     X = load_space(args.space)
     theory = parse_theory(args.theory)
@@ -123,7 +130,8 @@ def cmd_homology(args) -> int:
               for n in range(args.max_dim + 1)}
     if args.json:
         out = {"theory": args.theory, "coefficients": args.coeffs,
-               "reduced": args.reduced, "arithmetic": "exact-rational",
+               "reduced": args.reduced,
+               "arithmetic": _arithmetic(args.coeffs),
                "homology": {str(n): {"rank": g.rank,
                                      "torsion": list(g.torsion)}
                             for n, g in groups.items()}}
@@ -141,7 +149,7 @@ def cmd_persist(args) -> int:
                                    coefficients=args.coeffs)
     if args.json:
         out = {"construction": args.construction, "coefficients": args.coeffs,
-               "arithmetic": "exact-rational",
+               "arithmetic": _arithmetic(args.coeffs),
                "diagrams": [json.loads(diagram_to_json(D))
                             for _, D in sorted(diagrams.items())]}
         print(json.dumps(out))

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import BadParameter, MissingPoint, ParseError, SourceTargetMismatch
 from .spaces import FiniteClosureSpace, is_symmetric
 
@@ -140,21 +138,35 @@ class SimplicialMap:
         return hash(frozenset(self.mapping.items()))
 
 
+def cliques(later, max_size=None):
+    """Every clique of a graph, as an increasing tuple of vertex indices.
+
+    later[i] lists the neighbours j > i of vertex i in increasing order.
+    Cliques with more than max_size vertices are not generated, so a cap
+    bounds the work as well as the output.  The search keeps an explicit
+    stack of (clique, common later neighbours), so its depth is not
+    limited by recursion.
+    """
+    if max_size is not None and max_size < 1:
+        return
+    adjacent = [set(nbrs) for nbrs in later]
+    stack = [((i,), nbrs) for i, nbrs in enumerate(later)]
+    while stack:
+        clique, common = stack.pop()
+        yield clique
+        if max_size is not None and len(clique) >= max_size:
+            continue
+        for k, v in enumerate(common):
+            stack.append((clique + (v,),
+                          [w for w in common[k + 1:] if w in adjacent[v]]))
+
+
 def _clique_complex_simplices(points, adjacent):
     """All nonempty cliques of a symmetric adjacency predicate."""
-    graph = nx.Graph()
-    graph.add_nodes_from(points)
     pts = list(points)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if adjacent(x, y):
-                graph.add_edge(x, y)
-    simplices = set()
-    for clique in nx.find_cliques(graph):
-        for r in range(1, len(clique) + 1):
-            for t in combinations(clique, r):
-                simplices.add(frozenset(t))
-    return simplices
+    later = [[j for j in range(i + 1, len(pts)) if adjacent(pts[i], pts[j])]
+             for i in range(len(pts))]
+    return {frozenset(pts[i] for i in c) for c in cliques(later)}
 
 
 def vr(X: FiniteClosureSpace) -> SimplicialComplex:

@@ -41,10 +41,6 @@ class DegreeOutOfRange(ClosureError):
     """A chain complex does not carry the degrees needed for the request."""
 
 
-class InconsistentTower(ClosureError):
-    """A persistence tower has mismatched shapes or negative bar counts."""
-
-
 class InfinityMismatch(ClosureError):
     """Two diagrams carry different numbers of infinite bars."""
 

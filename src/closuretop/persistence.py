@@ -12,9 +12,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from ._linalg import PrimeField, RationalField, field_kernel
-from .complexes import cech, vr
+from .complexes import cech, cliques, vr
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
 from .filtrations import FilteredClosureSpace
@@ -111,23 +112,49 @@ def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
     """Simplices of the final-stage complex with first-appearance values.
 
     Returns a list of (birth, simplex-as-sorted-tuple) restricted to
-    dimension at most max_dim + 1, since that is all the reduction in
-    degrees up to max_dim can use.
+    simplices of at most max_dim + 2 vertices, since that is all the
+    reduction in degrees up to max_dim can use.  The list is sorted by
+    birth, then size, then the points' reprs.
+
+    No stage complex is built.  One scan of the stages reads, for every
+    pair (x, y), the first stage at which y is in the closure of x; the
+    births are stage indices until the grid values go into the output.
+    A vertex x is born at (x, x).  A VR simplex is a clique of mutually
+    close points, born at the latest of its edges' births, each edge
+    born when both directions are present; cliques are enumerated only
+    up to the vertex cap.  A Cech simplex is born at the earliest stage
+    at which it lies in the closure of some point x, so its birth is the
+    minimum over centres x of the latest (x, y) birth over its points y;
+    only subsets within the vertex cap of each final closure are visited.
     """
     if construction not in ("vr", "cech"):
         raise BadParameter(f"unknown construction {construction!r}")
-    build = vr if construction == "vr" else cech
+    stage_of = {t: i for i, t in enumerate(F.grid)}
+    points = sorted(F.final_stage().points, key=repr)
+    at = {x: i for i, x in enumerate(points)}
+    # rows[i][j]: first stage index with points[j] in the closure of points[i]
+    rows = [{} for _ in points]
+    for (x, y), t in _first_relation(F).items():
+        rows[at[x]][at[y]] = stage_of[t]
+    size = max_dim + 2
     births = {}
-    for t, stage in zip(F.grid, F.stages):
-        if not stage.points:
-            continue
-        K = build(stage)
-        for s in K.simplices:
-            if len(s) <= max_dim + 2 and s not in births:
-                births[s] = t
-    return sorted(((births[s], tuple(sorted(s, key=repr)))
-                   for s in births),
-                  key=lambda bs: (bs[0], len(bs[1]), tuple(map(repr, bs[1]))))
+    if construction == "vr":
+        later = [[j for j in sorted(row) if j > i and i in rows[j]]
+                 for i, row in enumerate(rows)]
+        for s in cliques(later, size):
+            births[s] = (rows[s[0]][s[0]] if len(s) == 1 else
+                         max(max(rows[i][j], rows[j][i])
+                             for i, j in combinations(s, 2)))
+    else:
+        for row in rows:
+            near = sorted(row)
+            for r in range(1, size + 1):
+                for s in combinations(near, r):
+                    b = max(row[y] for y in s)
+                    if s not in births or b < births[s]:
+                        births[s] = b
+    ordered = sorted(births.items(), key=lambda sb: (sb[1], len(sb[0]), sb[0]))
+    return [(F.grid[b], tuple(points[i] for i in s)) for s, b in ordered]
 
 
 def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",

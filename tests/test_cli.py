@@ -43,7 +43,9 @@ def test_homology_json_output(space_path, capsys):
                  "--coeffs", "f2", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["homology"]["0"] == {"rank": 1, "torsion": []}
-    assert obj["arithmetic"] == "exact-rational"
+    assert obj["arithmetic"] == "exact-mod-2"
+    assert main(["homology", space_path, "--coeffs", "z", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["arithmetic"] == "exact-integer"
 
 
 def test_persist_text_json_and_files(square_path, tmp_path, capsys):
@@ -62,6 +64,7 @@ def test_persist_text_json_and_files(square_path, tmp_path, capsys):
     assert main(["persist", "--metric", square_path, "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert [d["degree"] for d in obj["diagrams"]] == [0, 1]
+    assert obj["arithmetic"] == "exact-mod-2"
 
 
 def test_persist_sublevel_route(space_path, tmp_path, capsys):

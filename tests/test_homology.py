@@ -6,6 +6,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
@@ -121,6 +122,38 @@ def test_unit_pivot_fast_path_on_structured_matrix():
     assert rank == M.rank()
     assert sorted(invs) == sorted(abs(D[i, i]) for i in range(3)
                                   if D[i, i] != 0)
+
+
+def _sympy_invariants(cols, n_rows):
+    M = sympy.Matrix(_dense(cols, n_rows))
+    if not M.rank():
+        return []
+    D = smith_normal_form(M)
+    return sorted(abs(D[i, i]) for i in range(min(M.shape)) if D[i, i] != 0)
+
+
+def test_unit_pivot_update_does_not_wrap_around_int64():
+    # eliminating the unit pivot multiplies 2**40 by 2**40
+    cols = [{0: 1, 1: 2 ** 40}, {0: 2 ** 40, 1: 1}]
+    assert rank_and_invariants(2, cols) == (2, [1, 2 ** 80 - 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_rank_and_invariants_large_entries_against_sympy(seed):
+    # units make the int64 elimination path run; entries up to 2**40
+    # make its products leave int64
+    rng = random.Random(seed)
+    n_rows = rng.randint(1, 4)
+    cols = _rand_sparse_columns(rng, n_rows, rng.randint(1, 4), density=0.8)
+    for col in cols:
+        for r in col:
+            if rng.random() < 0.5:
+                col[r] = rng.randint(-2 ** 40, 2 ** 40) or 1
+    rank, invs = rank_and_invariants(n_rows, cols)
+    expect = _sympy_invariants(cols, n_rows)
+    assert rank == len(expect)
+    assert sorted(invs) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,26 @@
 """Persistence diagrams, towers, bottleneck, distortion, interleavings."""
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closuretop.persistence import INF
 from closuretop import (BadParameter, CapExceeded, Decoration,
                         FilteredClosureSpace, InfinityMismatch,
                         NotACorrespondence, ParseError, PersistenceDiagram,
-                        ShapeMismatch, SIMPLEX_J1, bottleneck,
-                        check_correspondence, diagram_from_json,
+                        ShapeMismatch, SIMPLEX_J1, WeightedDigraph,
+                        bottleneck, cech, check_correspondence,
+                        complex_chain_complex, diagram_from_json,
                         diagram_to_json, distortion, filtered_from_metric,
-                        filtered_from_sublevel, filtered_simplices,
-                        gh_distance, inclusion_interleaving_maps,
+                        filtered_from_sublevel,
+                        filtered_from_weighted_digraph, filtered_simplices,
+                        gh_distance, homology, inclusion_interleaving_maps,
                         metric_from_matrix, persistence_complex,
-                        persistence_tower, tower_to_diagram,
-                        verify_interleaving)
+                        persistence_tower, singular_chain_complex,
+                        tower_to_diagram, verify_interleaving, vr)
 from conftest import rand_metric, rand_space
 
 
@@ -63,6 +67,96 @@ def test_filtered_simplices_first_appearance():
     assert sims == [(0, ("a",)), (0, ("b",)), (3, ("a", "b"))]
     with pytest.raises(BadParameter):
         filtered_simplices(F, "alpha")
+
+
+def _stage_by_stage_simplices(F, construction, max_dim):
+    """Reference: build the whole complex of every stage, keep first appearances."""
+    build = vr if construction == "vr" else cech
+    births = {}
+    for t, stage in zip(F.grid, F.stages):
+        if not stage.points:
+            continue
+        for s in build(stage).simplices:
+            if len(s) <= max_dim + 2 and s not in births:
+                births[s] = t
+    return sorted(((births[s], tuple(sorted(s, key=repr))) for s in births),
+                  key=lambda bs: (bs[0], len(bs[1]), tuple(map(repr, bs[1]))))
+
+
+def _rand_filtration(rng, kind):
+    n = rng.randint(1, 7)
+    if kind == "metric":
+        return filtered_from_metric(rand_metric(rng, n))
+    if kind == "sublevel":
+        X = rand_space(rng, n, p=rng.choice([0.3, 0.6]))
+        return filtered_from_sublevel(
+            X, {x: Fraction(rng.randint(0, 4)) for x in X.points})
+    pts = [f"v{i}" for i in range(n)]
+    weights = {(a, b): Fraction(rng.randint(0, 5)) for a in pts for b in pts
+               if a != b and rng.random() < 0.5}
+    return filtered_from_weighted_digraph(WeightedDigraph(pts, weights))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["metric", "digraph",
+                                                  "sublevel"]),
+       st.sampled_from(["vr", "cech"]), st.integers(0, 2))
+def test_filtered_simplices_match_stage_by_stage_build(seed, kind,
+                                                       construction, max_dim):
+    F = _rand_filtration(random.Random(seed), kind)
+    assert (filtered_simplices(F, construction, max_dim)
+            == _stage_by_stage_simplices(F, construction, max_dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6))
+def test_singular_simplex_j1_homology_equals_vr_homology(seed, n):
+    rng = random.Random(seed)
+    X = rand_space(rng, n, p=rng.choice([0.3, 0.5, 0.7]))
+    S = singular_chain_complex(X, SIMPLEX_J1, 3)
+    K = complex_chain_complex(vr(X), top=3)
+    for coefficients in ("z", "f2"):
+        for degree in (0, 1, 2):
+            a = homology(S, degree, coefficients=coefficients)
+            b = homology(K, degree, coefficients=coefficients)
+            assert (a.rank, a.torsion) == (b.rank, b.torsion)
+
+
+def _union_find_diagram(points, edge_births):
+    """Degree-0 bars of points born at 0, merged by edges in birth order."""
+    parent = {x: x for x in points}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    pairs = []
+    for b, x, y in sorted(edge_births):
+        rx, ry = root(x), root(y)
+        if rx != ry:
+            parent[rx] = ry
+            if b != 0:
+                pairs.append((0, b))
+    pairs.extend((0, None) for x in points if root(x) == x)
+    return PersistenceDiagram(0, tuple(pairs))
+
+
+def test_forty_point_metric_within_budget():
+    M = rand_metric(random.Random(163), 40, coord_range=20)
+    F = filtered_from_metric(M)
+    pts = M.points
+    edges = {"vr": [(M.d(x, y), x, y) for x, y in
+                    itertools.combinations(pts, 2)],
+             "cech": [(min(max(M.d(z, x), M.d(z, y)) for z in pts), x, y)
+                      for x, y in itertools.combinations(pts, 2)]}
+    for construction in ("vr", "cech"):
+        start = time.perf_counter()
+        out = persistence_complex(F, construction, max_dim=1)
+        assert time.perf_counter() - start < 20
+        assert (out[0].as_multiset() ==
+                _union_find_diagram(pts, edges[construction]).as_multiset())
 
 
 def test_tower_diagram_matches_matrix_reduction():
