@@ -164,7 +164,9 @@ def rank_mod_p(n_rows, columns, p):
     uniq = _dedup_columns(columns)
     if not uniq:
         return 0
-    M = np.zeros((n_rows, len(uniq)), dtype=np.int64)
+    # products of residues reach (p - 1)^2, past int64 for p > 3037000499
+    exact = (p - 1) ** 2 > np.iinfo(np.int64).max
+    M = np.zeros((n_rows, len(uniq)), dtype=object if exact else np.int64)
     for j, items in enumerate(uniq):
         for r, c in items:
             M[r, j] = c % p

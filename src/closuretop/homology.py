@@ -16,7 +16,8 @@ from ._linalg import (PrimeField, QuotientReducer, RationalField, field_kernel,
                       snf_with_row_transform, solve_rational)
 from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
-from .spaces import ContinuousMap, FiniteClosureSpace, ProductKind
+from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
+                     closure_masks, homomorphisms)
 
 DEFAULT_CUBE_CAP = 6
 DEFAULT_SIMPLEX_CAP = 4
@@ -130,69 +131,31 @@ def _cube_vertex_relation(interval, kind, n):
     return rel
 
 
+def _maps_into(X: FiniteClosureSpace, src):
+    """Continuous maps from the relation src into X, as tuples of points."""
+    pts = X.points
+    return [tuple(pts[i] for i in h)
+            for h in homomorphisms(src, closure_masks(X))]
+
+
 def enumerate_cubes(X: FiniteClosureSpace, theory: Theory, n: int):
     """All continuous n-cube tables in lexicographic point order."""
-    pts = X.points
-    k = len(pts)
-    idx = {x: i for i, x in enumerate(pts)}
-    relX = [[pts[j] in X.closure_map[pts[i]] for j in range(k)]
-            for i in range(k)]
-    if n == 0:
-        return [(x,) for x in pts]
-    rel = _cube_vertex_relation(theory.interval, theory.product, n)
-    size = 1 << n
-    # per vertex, constraints against already assigned vertices
-    fwd = [[] for _ in range(size)]  # (u, w): vertex w must lie in c(vertex u)
-    bwd = [[] for _ in range(size)]
-    for u in range(size):
-        for v in rel[u]:
-            if v == u:
-                continue
-            if v < u:
-                bwd[u].append(v)   # assigning u: value[v] in c(value[u])
-            else:
-                fwd[v].append(u)   # assigning v: value[v] in c(value[u])
-    out = []
-    assign = [0] * size
-
-    def extend(w):
-        if w == size:
-            out.append(tuple(pts[i] for i in assign))
-            return
-        for i in range(k):
-            ok = all(relX[assign[u]][i] for u in fwd[w]) and \
-                 all(relX[i][assign[v]] for v in bwd[w])
-            if ok:
-                assign[w] = i
-                extend(w + 1)
-
-    extend(0)
-    return out
+    return _maps_into(X, _cube_vertex_relation(theory.interval,
+                                               theory.product, n))
 
 
 def enumerate_simplices(X: FiniteClosureSpace, theory: Theory, n: int):
-    """All continuous (n+1)-tuples in lexicographic point order."""
-    pts = X.points
-    k = len(pts)
-    relX = [[pts[j] in X.closure_map[pts[i]] for j in range(k)]
-            for i in range(k)]
+    """All continuous (n+1)-tuples in lexicographic point order.
+
+    The ordered simplex relates a to b for a <= b, and both ways under j1.
+    Normalized theories drop tuples with two equal consecutive entries.
+    """
     mutual = theory.interval == "j1"
-    out = []
-    assign = [0] * (n + 1)
-
-    def extend(w):
-        if w == n + 1:
-            out.append(tuple(pts[i] for i in assign))
-            return
-        for i in range(k):
-            ok = all(relX[assign[u]][i] and (not mutual or relX[i][assign[u]])
-                     for u in range(w))
-            if ok and not (theory.normalized and w and assign[w - 1] == i):
-                assign[w] = i
-                extend(w + 1)
-
-    extend(0)
-    return out
+    tuples = _maps_into(X, [list(range(0 if mutual else a, n + 1))
+                            for a in range(n + 1)])
+    if theory.normalized:
+        tuples = [t for t in tuples if all(a != b for a, b in zip(t, t[1:]))]
+    return tuples
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +525,6 @@ class InducedMap:
     source: object   # homology basis of the source
     target: object   # homology basis of the target
     matrix: list     # rows = target coordinates, columns = source generators
-
-    def rank_over_field(self, field) -> int:
-        cols = [[field.of(self.matrix[i][j]) if not isinstance(
-            self.matrix[i][j], Fraction) else self.matrix[i][j]
-            for i in range(len(self.matrix))]
-            for j in range(len(self.matrix[0]) if self.matrix else 0)]
-        n = len(self.matrix)
-        return len(cols) - len(field_kernel(field, n, cols)) if cols else 0
 
 
 def induced_map_between(C_src: ChainComplex, C_tgt: ChainComplex, mapping,

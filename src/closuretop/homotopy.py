@@ -1,13 +1,14 @@
 """One-step and multi-step interval homotopy between continuous maps.
 
-A one-step homotopy for an interval J and a product kind is a
-continuous map H : X (x) J -> Y restricting to f at 0 and to g at the
-top endpoint.  A candidate H is exactly a tuple of maps (h_0, ..., h_m)
-indexed by the points of J, and H is continuous iff the assembled map
-on the literal product space is continuous.  Continuity of the product
-map decomposes into pairwise conditions between h_i and h_j for
-j in c_J(i), which is what the search below exploits; every found
-witness is re-verified against the literal product space.
+A one-step homotopy for an interval J on the points 0..m and a product
+kind is a continuous map H : X (x) J -> Y restricting to f at 0 and to
+g at m.  H is exactly a tuple of continuous maps (h_0, ..., h_m), and it
+is continuous iff h_i and h_j meet one binary condition E[h_i, h_j] for
+every edge i -> j of J.  So one-step homotopies are the homomorphisms of
+J's relation into the relation E on the maps X -> Y, and maps, like the
+singular cubes and simplices of homology, come from the one search
+spaces.homomorphisms.  Every found witness is re-verified against the
+literal product space.
 """
 from __future__ import annotations
 
@@ -22,10 +23,15 @@ from .spaces import (
     FiniteClosureSpace,
     IntervalSpec,
     ProductKind,
+    closure_masks,
+    homomorphisms,
     interval,
     is_continuous,
+    mask_matrix,
+    neighbour_lists,
     point_space,
     product,
+    relation_masks,
 )
 
 
@@ -73,49 +79,12 @@ def _require_parallel(f: ContinuousMap, g: ContinuousMap):
 
 
 def enumerate_continuous_maps(X: FiniteClosureSpace, Y: FiniteClosureSpace):
-    """All continuous point mappings X -> Y, found by pruned backtracking.
+    """All continuous point mappings X -> Y, the homomorphisms of the relations.
 
     Returned as tuples of target-point indices aligned with X.points,
     in lexicographic order over Y's point order.
     """
-    nx_, ny = len(X.points), len(Y.points)
-    xi = {x: i for i, x in enumerate(X.points)}
-    rel_y = [[q in Y.closure_map[p] for q in Y.points] for p in Y.points]
-    rel_y = [[rel_y[i][j] for j in range(ny)] for i in range(ny)]
-    fwd = [[xi[x2] for x2 in X.closure_map[x]] for x in X.points]
-    bwd = [[xi[x2] for x2 in X.points if x in X.closure_map[x2]] for x in X.points]
-    out = []
-    assign = [0] * nx_
-
-    def extend(i):
-        if i == nx_:
-            out.append(tuple(assign))
-            return
-        for v in range(ny):
-            ok = True
-            # x_j in c(x_i) needs f(x_j) in c(f(x_i))
-            for j in fwd[i]:
-                if j < i and not rel_y[v][assign[j]]:
-                    ok = False
-                    break
-                if j == i and not rel_y[v][v]:
-                    ok = False
-                    break
-            if ok:
-                # x_i in c(x_j) needs f(x_i) in c(f(x_j))
-                for j in bwd[i]:
-                    if j < i and not rel_y[assign[j]][v]:
-                        ok = False
-                        break
-            if ok:
-                assign[i] = v
-                extend(i + 1)
-        return
-
-    if nx_ == 0:
-        return [()]
-    extend(0)
-    return out
+    return list(homomorphisms(neighbour_lists(X), closure_masks(Y)))
 
 
 def _as_mapping(X, Y, tup):
@@ -130,123 +99,71 @@ def _as_tuple(X, Y, mapping):
 class MapGraph:
     """All continuous maps X -> Y with the one-step adjacency for (J, kind).
 
-    A[u, v] is True iff there is a one-step homotopy whose restriction
-    at 0 is map u and at the top endpoint is map v.
+    A one-step homotopy is a homomorphism of J's relation into the
+    relation E on maps, where E[u, v] says that h_i = u and h_j = v meet
+    the continuity of H on X (x) J along an edge i -> j of J.
+    A[u, v] is True iff such a homomorphism has h_0 = u and h_m = v.
+
+    For each homomorphism mu of the middle slots 1..m-1 into E, slot 0
+    can take every map in L(mu), those that meet the edges between 0 and
+    the middle, and slot m every map in R(mu), likewise.  A is the union
+    of the blocks L(mu) x R(mu), cut by E for an edge 0 -> m and by the
+    transpose of E for an edge m -> 0.
     """
 
     def __init__(self, X: FiniteClosureSpace, Y: FiniteClosureSpace,
                  J: IntervalSpec, kind: ProductKind):
         self.X, self.Y, self.J, self.kind = X, Y, J, kind
-        self.space_j = interval(J)
+        self._j_relation = neighbour_lists(interval(J))
         self.maps = enumerate_continuous_maps(X, Y)
         self.index = {t: i for i, t in enumerate(self.maps)}
         self._edge = self._edge_matrix()
+        self._edge_masks = relation_masks(self._edge)
         self.adjacency = self._adjacency()
 
     def _edge_matrix(self):
-        """E[u, v]: the binary condition for a J-edge (i, j), h_i = u, h_j = v."""
-        X, Y = self.X, self.Y
-        n = len(self.maps)
-        if n == 0:
-            return np.zeros((0, 0), dtype=bool)
-        F = np.array(self.maps, dtype=np.int64).reshape(n, len(X.points))
-        ny = len(Y.points)
-        yi = {y: i for i, y in enumerate(Y.points)}
-        R = np.zeros((ny, ny), dtype=bool)
-        for p in Y.points:
-            for q in Y.closure_map[p]:
-                R[yi[p], yi[q]] = True
+        """E[u, v]: the condition along a J-edge i -> j with h_i = u, h_j = v."""
+        n, ny = len(self.maps), len(self.Y.points)
+        F = np.array(self.maps, dtype=np.int64).reshape(n, len(self.X.points))
+        R = mask_matrix(closure_masks(self.Y)[0], ny)
         E = np.ones((n, n), dtype=bool)
-        xi = {x: i for i, x in enumerate(X.points)}
-        for x in X.points:
-            ix = xi[x]
-            if self.kind is ProductKind.PRODUCT:
-                for x2 in X.closure_map[x]:
-                    E &= R[F[:, ix]][:, F[:, xi[x2]]]
-            else:
-                E &= R[F[:, ix]][:, F[:, ix]]
+        for ix, near in enumerate(neighbour_lists(self.X)):
+            for jx in (near if self.kind is ProductKind.PRODUCT else [ix]):
+                E &= R[F[:, ix]][:, F[:, jx]]
         return E
 
     def _adjacency(self):
-        Jsp = self.space_j
-        m = self.J.m
-        edges = [(i, j) for i in Jsp.points for j in Jsp.closure_map[i] if i != j]
-        n = len(self.maps)
-        E = self._edge
-        if n == 0:
-            return np.zeros((0, 0), dtype=bool)
-        if m == 1:
-            A = np.ones((n, n), dtype=bool)
-            for (i, j) in edges:
-                A &= E if (i, j) == (0, 1) else E.T
-            return A
-        if m == 2:
-            direct = np.ones((n, n), dtype=bool)
-            lo, hi = [], []
-            touches_mid = False
-            for (i, j) in edges:
-                if (i, j) == (0, 2):
-                    direct &= E
-                elif (i, j) == (2, 0):
-                    direct &= E.T
-                else:
-                    touches_mid = True
-                    if (i, j) == (0, 1):
-                        lo.append(("col", 1))
-                    elif (i, j) == (1, 0):
-                        lo.append(("row", 1))
-                    elif (i, j) == (1, 2):
-                        hi.append(("row", 1))
-                    elif (i, j) == (2, 1):
-                        hi.append(("col", 1))
-            if not touches_mid:
-                return direct
-            A = np.zeros((n, n), dtype=bool)
-            for h in range(n):
-                fvec = np.ones(n, dtype=bool)
-                for tag, _ in lo:
-                    fvec &= E[:, h] if tag == "col" else E[h, :]
-                if not fvec.any():
-                    continue
-                gvec = np.ones(n, dtype=bool)
-                for tag, _ in hi:
-                    gvec &= E[h, :] if tag == "row" else E[:, h]
-                A |= np.outer(fvec, gvec)
-            return A & direct
-        # longer intervals: per-pair backtracking over the middle slots
-        A = np.zeros((n, n), dtype=bool)
-        for u in range(n):
-            for v in range(n):
-                A[u, v] = self._pair_search(u, v, edges, m)
+        J, m, n = self._j_relation, self.J.m, len(self.maps)
+        out, inn = self._edge_masks
+
+        def end_constraints(e):
+            # e -> i needs E[h_e, h_i], i -> e needs E[h_i, h_e]
+            return ([(i - 1, inn) for i in J[e] if 0 < i < m]
+                    + [(i - 1, out) for i in range(1, m) if e in J[i]])
+
+        left, right = end_constraints(0), end_constraints(m)
+        middle = [[j - 1 for j in J[i] if 0 < j < m] for i in range(1, m)]
+        blocks = {}
+        for mu in homomorphisms(middle, self._edge_masks):
+            lo = hi = (1 << n) - 1
+            for s, masks in left:
+                lo &= masks[mu[s]]
+            for s, masks in right:
+                hi &= masks[mu[s]]
+            if lo and hi:
+                blocks[lo] = blocks.get(lo, 0) | hi
+        rows = [0] * n
+        for lo, hi in blocks.items():
+            while lo:
+                low = lo & -lo
+                rows[low.bit_length() - 1] |= hi
+                lo ^= low
+        A = mask_matrix(rows, n)
+        if m in J[0]:
+            A &= self._edge
+        if 0 in J[m]:
+            A &= self._edge.T
         return A
-
-    def _pair_search(self, u, v, edges, m) -> bool:
-        n = len(self.maps)
-        E = self._edge
-        slots = [None] * (m + 1)
-        slots[0], slots[m] = u, v
-
-        def ok(i):
-            for (a, b) in edges:
-                if slots[a] is not None and slots[b] is not None and (a == i or b == i):
-                    if not E[slots[a], slots[b]]:
-                        return False
-            return True
-
-        if not ok(0) or not ok(m):
-            return False
-
-        def rec(i):
-            if i == m:
-                return True
-            for h in range(n):
-                slots[i] = h
-                if ok(i) and rec(i + 1):
-                    return True
-            slots[i] = None
-            return False
-
-        return rec(1)
 
     def one_step(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u, v])
@@ -330,33 +247,9 @@ def one_step_homotopic(f: ContinuousMap, g: ContinuousMap, J: IntervalSpec,
 
 def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
     """Recover an explicit tuple (h_0, ..., h_m) for a known one-step edge."""
-    X, Y, m = graph.X, graph.Y, graph.J.m
-    Jsp = graph.space_j
-    edges = [(i, j) for i in Jsp.points for j in Jsp.closure_map[i] if i != j]
-    E = graph._edge
-    slots = [None] * (m + 1)
-    slots[0], slots[m] = u, v
-
-    def ok(i):
-        for (a, b) in edges:
-            if slots[a] is not None and slots[b] is not None and (a == i or b == i):
-                if not E[slots[a], slots[b]]:
-                    return False
-        return True
-
-    def rec(i):
-        if i == m:
-            return True
-        for h in range(len(graph.maps)):
-            slots[i] = h
-            if ok(i) and rec(i + 1):
-                return True
-        slots[i] = None
-        return False
-
-    found = ok(0) and ok(m) and rec(1)
-    assert found, "adjacency asserted an edge the extractor cannot realize"
-    maps = tuple(_as_mapping(X, Y, graph.maps[s]) for s in slots)
+    slots = next(homomorphisms(graph._j_relation, graph._edge_masks,
+                               fixed={0: u, graph.J.m: v}))
+    maps = tuple(_as_mapping(graph.X, graph.Y, graph.maps[s]) for s in slots)
     return OneStepWitness(maps=maps, forward=True)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     BadParameter,
     MissingPoint,
@@ -138,6 +140,101 @@ def is_continuous(mapping, X: FiniteClosureSpace, Y: FiniteClosureSpace) -> bool
             if mapping[x2] not in cy:
                 return False
     return True
+
+
+def neighbour_lists(X: FiniteClosureSpace):
+    """Out-neighbour index lists of X's relation, the source form of homomorphisms."""
+    idx = {x: i for i, x in enumerate(X.points)}
+    return [[idx[y] for y in X.closure_map[x]] for x in X.points]
+
+
+def closure_masks(X: FiniteClosureSpace):
+    """The target form of homomorphisms for X's relation (see relation_masks)."""
+    idx = {x: i for i, x in enumerate(X.points)}
+    out, inn = [0] * len(idx), [0] * len(idx)
+    for i, x in enumerate(X.points):
+        for y in X.closure_map[x]:
+            out[i] |= 1 << idx[y]
+            inn[idx[y]] |= 1 << i
+    return out, inn
+
+
+def _row_masks(R: np.ndarray):
+    """One int per row of a boolean matrix, bit j set iff R[i, j]."""
+    nbytes = (R.shape[1] + 7) // 8
+    data = np.packbits(R, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "little")
+            for i in range(R.shape[0])]
+
+
+def relation_masks(R: np.ndarray):
+    """The target form of homomorphisms: row masks of R and of its transpose."""
+    return _row_masks(R), _row_masks(np.ascontiguousarray(R.T))
+
+
+def mask_matrix(rows, n: int) -> np.ndarray:
+    """Boolean n x n matrix from row masks, the inverse of one half of relation_masks."""
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                           dtype=np.uint8).reshape(n, nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+
+
+def homomorphisms(src, tgt, fixed=None):
+    """Yield every homomorphism of the relation src into the relation tgt.
+
+    src[a] lists the out-neighbours of vertex a of the source; tgt is the
+    pair (out, in) of closure_masks or relation_masks, where bit q of
+    out[p] says p -> q and bit p of in[q] says the same.  A homomorphism h is a tuple of
+    target indices, one per source vertex, with h[a] -> h[b] for every
+    edge a -> b.  fixed pins some vertices to given targets.
+
+    Pinned vertices are assigned first, then the others in index order;
+    a vertex's candidates are the AND of the masks of its assigned
+    neighbours, tried lowest bit first, so the tuples come out in
+    lexicographic order.  The search keeps an explicit stack.
+    """
+    out, inn = tgt
+    n = len(src)
+    fixed = fixed or {}
+    order = sorted(fixed) + [w for w in range(n) if w not in fixed]
+    pos = {w: i for i, w in enumerate(order)}
+    start = [(1 << fixed[w]) if w in fixed else (1 << len(out)) - 1
+             for w in order]
+    loops = 0
+    if any(a in src[a] for a in range(n) if a not in fixed):
+        loops = sum(1 << p for p, mask in enumerate(out) if mask >> p & 1)
+    # constraints on the i-th assigned vertex from neighbours assigned before it
+    cons = [[] for _ in order]
+    for a in range(n):
+        for b in src[a]:
+            if a == b:
+                start[pos[a]] &= out[fixed[a]] if a in fixed else loops
+            elif pos[a] < pos[b]:
+                cons[pos[b]].append((a, out))
+            else:
+                cons[pos[a]].append((b, inn))
+    h = [0] * n
+    cand = [0] * n
+    i = 0
+    while True:
+        if i < n:
+            c = start[i]
+            for a, masks in cons[i]:
+                c &= masks[h[a]]
+            cand[i] = c
+        else:
+            yield tuple(h)
+            i -= 1
+        while i >= 0 and not cand[i]:
+            i -= 1
+        if i < 0:
+            return
+        c = cand[i]
+        low = c & -c
+        cand[i] = c ^ low
+        h[order[i]] = low.bit_length() - 1
+        i += 1
 
 
 class ContinuousMap:

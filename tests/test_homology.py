@@ -15,14 +15,15 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         ProductKind, Theory, build_space,
                         complex_chain_complex, complex_from_text,
                         cubical_chain_complex, homology, homology_basis,
-                        induced_map, interval, j1, j_plus, point_space,
-                        product, product_power, singular_chain_complex,
-                        singular_homology)
+                        induced_map, interval, is_continuous, j1, j_plus,
+                        point_space, product, product_power,
+                        singular_chain_complex, singular_homology)
 from closuretop._linalg import (PrimeField, RationalField, field_kernel,
                                 integer_kernel_basis, rank_and_invariants,
                                 rank_mod_p, snf_with_row_transform,
                                 solve_rational)
-from closuretop.homology import cube_degenerate, cube_face
+from closuretop.homology import (cube_degenerate, cube_face, enumerate_cubes,
+                                 enumerate_simplices)
 from conftest import rand_space
 
 
@@ -68,6 +69,13 @@ def test_rank_mod_p_against_fraction_elimination():
         dense = [[F.of(col.get(r, 0)) for r in range(n_rows)] for col in cols]
         oracle = n_cols - len(field_kernel(F, n_rows, dense))
         assert rank_mod_p(n_rows, cols, p) == oracle
+
+
+def test_rank_mod_p_does_not_wrap_around_int64_for_large_primes():
+    # (p - 1)^2 exceeds 2^63 - 1; the second column is p - 1 times the first
+    p = 4294967311
+    cols = [{0: 1, 1: p - 2}, {0: p - 1, 1: (p - 1) * (p - 2) % p}]
+    assert rank_mod_p(2, cols, p) == 1
 
 
 def test_integer_kernel_and_solver():
@@ -179,6 +187,37 @@ def test_degeneracy_detection():
     assert not cube_degenerate((5, 6), 1)
     assert cube_degenerate((1, 2, 1, 2), 2)  # independent of coordinate 1
     assert not cube_degenerate((1, 2, 2, 1), 2)
+
+
+def _brute_force_maps(S, X):
+    """Point tuples of the continuous maps S -> X, in lexicographic order."""
+    return [combo for combo in itertools.product(X.points, repeat=len(S.points))
+            if is_continuous(dict(zip(S.points, combo)), S, X)]
+
+
+def test_shape_enumerators_against_brute_force():
+    # same list in the same order: basis order fixes the boundary matrices
+    rng = random.Random(113)
+    simplex_theories = [SIMPLEX_J1, SIMPLEX_JPLUS,
+                        Theory("simplex", "j1", normalized=True),
+                        Theory("simplex", "jplus", normalized=True)]
+    for size in (1, 2, 3, 3):
+        X = rand_space(rng, size)
+        for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
+                   CUBE_JPLUS_BOX):
+            J = interval(j1() if th.interval == "j1" else j_plus())
+            for n in range(4):
+                assert enumerate_cubes(X, th, n) == _brute_force_maps(
+                    product_power(J, n, th.product), X)
+        for th in simplex_theories:
+            for n in range(4):
+                S = build_space(range(n + 1), {
+                    a: range(0 if th.interval == "j1" else a, n + 1)
+                    for a in range(n + 1)})
+                want = [t for t in _brute_force_maps(S, X)
+                        if not th.normalized
+                        or all(a != b for a, b in zip(t, t[1:]))]
+                assert enumerate_simplices(X, th, n) == want
 
 
 # ---------------------------------------------------------------------------

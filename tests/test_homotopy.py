@@ -36,6 +36,12 @@ def test_enumerate_continuous_maps_matches_brute_force():
         assert sorted(fast) == slow
 
 
+def test_enumerate_continuous_maps_on_a_long_chain():
+    n = 1200
+    chain = build_space(range(n), {i: {i, min(i + 1, n - 1)} for i in range(n)})
+    assert enumerate_continuous_maps(chain, point_space()) == [(0,) * n]
+
+
 def _one_step_oracle(f, g, J, kind):
     """Literal check: search all endpoint-pinned tuples of continuous maps."""
     X, Y = f.source, f.target
@@ -55,7 +61,7 @@ def _one_step_oracle(f, g, J, kind):
 def test_one_step_against_literal_oracle():
     rng = random.Random(23)
     intervals = [j1(), j_plus(), j_minus(), j_plain(2), j_top(2), j_leq(2),
-                 j_bot(1)]
+                 j_bot(1), j_top(3), j_plain(3), j_leq(3), j_bits(3, 5)]
     checked = 0
     while checked < 40:
         X = rand_space(rng, rng.randint(1, 3), prefix="x")

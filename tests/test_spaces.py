@@ -1,6 +1,8 @@
 """Closure axioms, continuity, categorical constructions, intervals."""
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from closuretop import (BadParameter, ContinuousMap, FiniteClosureSpace,
                         pushout, qd, relabel, reverse, space_from_json,
                         space_to_json, subspace, symmetrize,
                         topological_modification)
+from closuretop.spaces import homomorphisms, relation_masks
 from conftest import rand_space
 
 SEED_SPACES = [rand_space(random.Random(100 + i), n, p)
@@ -286,3 +289,21 @@ def test_json_roundtrip():
         assert space_from_json(space_to_json(X)) == X
     P = product(SEED_SPACES[2], SEED_SPACES[1], ProductKind.PRODUCT)
     assert space_from_json(space_to_json(P)) == P
+
+
+def test_homomorphisms_against_brute_force():
+    rng = random.Random(127)
+    for _ in range(80):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        src = [[b for b in range(n) if rng.random() < 0.4] for _ in range(n)]
+        R = np.array([[rng.random() < 0.5 for _ in range(k)]
+                      for _ in range(k)], dtype=bool).reshape(k, k)
+        want = [h for h in itertools.product(range(k), repeat=n)
+                if all(R[h[a], h[b]] for a in range(n) for b in src[a])]
+        assert list(homomorphisms(src, relation_masks(R))) == want
+        if n and k:
+            fixed = {w: rng.randrange(k)
+                     for w in rng.sample(range(n), rng.randint(1, n))}
+            pinned = [h for h in want
+                      if all(h[w] == t for w, t in fixed.items())]
+            assert list(homomorphisms(src, relation_masks(R), fixed)) == pinned
