@@ -1,10 +1,17 @@
 """Exact linear algebra used by the homology and persistence modules.
 
-Integer matrices are handled with arbitrary-precision arithmetic; a
-numpy fast path eliminates unit pivots (which covers almost all of a
-boundary matrix) and a classic Smith reduction over Python ints
-finishes the small residue.  Field computations are generic over a
-tiny field protocol with rational and prime-field instances.
+Over the integers, ``smith`` is the one Smith reduction: a dense
+matrix over Python ints, with its row transform.  ``rank_and_invariants``
+first eliminates unit pivots, which cover almost all of a boundary
+matrix, with numpy int64 row operations (moving to Python ints before a
+product could leave int64) and hands the small residue to ``smith``;
+``integer_kernel_basis`` gives a lattice basis of an integer kernel.
+
+Over a field, ``FieldReducer`` is the one elimination: the column
+reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
+and Carlsson (2005) on sparse columns, generic over a tiny field protocol
+with rational and prime-field instances.  Ranks, kernel vectors,
+quotient coordinates and persistence pairs are all read off it.
 """
 from __future__ import annotations
 
@@ -31,83 +38,12 @@ def _dedup_columns(columns):
     return uniq
 
 
-def _snf_invariants_dense(rows):
-    """Invariant factors of a dense integer matrix (list of lists)."""
-    rows = [list(r) for r in rows]
-    k = len(rows)
-    m = len(rows[0]) if rows else 0
-    invariants = []
-    t = 0
-    while t < k and t < m:
-        best = None
-        for i in range(t, k):
-            for j in range(t, m):
-                v = rows[i][j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        bi, bj, _ = best
-        rows[t], rows[bi] = rows[bi], rows[t]
-        for r in rows:
-            r[t], r[bj] = r[bj], r[t]
-        while True:
-            # shrink the pivot until it divides its column, then clear it
-            reduced = False
-            for i in range(t + 1, k):
-                if rows[i][t] % rows[t][t]:
-                    q = rows[i][t] // rows[t][t]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[t])]
-                    rows[t], rows[i] = rows[i], rows[t]
-                    reduced = True
-                    break
-            if reduced:
-                continue
-            for i in range(t + 1, k):
-                if rows[i][t]:
-                    q = rows[i][t] // rows[t][t]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[t])]
-            # same along the pivot row, with column operations
-            reduced = False
-            for j in range(t + 1, m):
-                if rows[t][j] % rows[t][t]:
-                    q = rows[t][j] // rows[t][t]
-                    for r in rows:
-                        r[j] -= q * r[t]
-                    for r in rows:
-                        r[t], r[j] = r[j], r[t]
-                    reduced = True
-                    break
-            if reduced:
-                continue
-            for j in range(t + 1, m):
-                if rows[t][j]:
-                    q = rows[t][j] // rows[t][t]
-                    for r in rows:
-                        r[j] -= q * r[t]
-            if all(rows[i][t] == 0 for i in range(t + 1, k)):
-                break
-        # the pivot must divide everything that remains
-        p = abs(rows[t][t])
-        offender = None
-        for i in range(t + 1, k):
-            if any(rows[i][j] % p for j in range(t + 1, m)):
-                offender = i
-                break
-        if offender is not None:
-            rows[t] = [a + b for a, b in zip(rows[t], rows[offender])]
-            continue
-        invariants.append(p)
-        t += 1
-    return invariants
-
-
 def rank_and_invariants(n_rows, columns):
     """Rank and invariant factors of an integer matrix given as sparse columns.
 
     columns is an iterable of {row_index: coefficient} dicts.  Unit
     pivots are eliminated with vectorized integer row operations; the
-    residue without unit entries goes through the classic reduction.
+    residue without unit entries goes through ``smith``.
     """
     uniq = _dedup_columns(columns)
     if not uniq:
@@ -155,39 +91,8 @@ def rank_and_invariants(n_rows, columns):
     if live_rows.size == 0 or live_cols.size == 0:
         return ones, [1] * ones
     residual = [[int(M[i, j]) for j in live_cols] for i in live_rows]
-    rest = _snf_invariants_dense(residual)
+    rest = smith(residual)[0]
     return ones + len(rest), [1] * ones + rest
-
-
-def rank_mod_p(n_rows, columns, p):
-    """Rank of an integer matrix over the prime field F_p."""
-    uniq = _dedup_columns(columns)
-    if not uniq:
-        return 0
-    # products of residues reach (p - 1)^2, past int64 for p > 3037000499
-    exact = (p - 1) ** 2 > np.iinfo(np.int64).max
-    M = np.zeros((n_rows, len(uniq)), dtype=object if exact else np.int64)
-    for j, items in enumerate(uniq):
-        for r, c in items:
-            M[r, j] = c % p
-    rank = 0
-    for j in range(M.shape[1]):
-        col = M[rank:, j]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        r = rank + int(nz[0])
-        M[[rank, r]] = M[[r, rank]]
-        inv = pow(int(M[rank, j]), p - 2, p)
-        M[rank] = (M[rank] * inv) % p
-        below = np.flatnonzero(M[rank + 1:, j])
-        if below.size:
-            rows = below + rank + 1
-            M[rows] = (M[rows] - np.outer(M[rows, j], M[rank])) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
 
 
 def integer_kernel_basis(n_rows, columns):
@@ -227,40 +132,11 @@ def integer_kernel_basis(n_rows, columns):
     return [T[j] for j in range(n_cols) if all(v == 0 for v in cols[j])]
 
 
-def solve_rational(columns, b):
-    """Solve sum_j a_j * columns[j] = b exactly; returns Fractions or None.
+def smith(rows_in):
+    """Smith reduction D = U R V of a dense integer matrix (list of rows).
 
-    columns are integer (or Fraction) vectors forming an independent
-    family; returns None when b is outside their span.
-    """
-    n_rows = len(b)
-    k = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(b[i])]
-           for i in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, n_rows) if aug[i][col] != 0), None)
-        if piv is None:
-            return None  # independent columns should always yield a pivot
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [a * inv for a in aug[row]]
-        for i in range(n_rows):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, n_rows):
-        if aug[i][k] != 0:
-            return None
-    return [aug[i][k] for i in range(row)]
-
-
-def snf_with_row_transform(rows_in):
-    """Smith reduction D = U R V, returning (diagonal, U, Uinv).
-
+    Returns (diagonal, U, Uinv): the nonzero invariant factors, positive
+    and each dividing the next, and the row transform with its inverse.
     Only the row transform is tracked; it is what expressing a quotient
     Z^k / col(R) in invariant coordinates needs.
     """
@@ -356,8 +232,9 @@ def snf_with_row_transform(rows_in):
     return diag, U, Uinv
 
 
+
 # ---------------------------------------------------------------------------
-# fields
+# fields: elements are Python numbers, and zero is the only false one
 
 class RationalField:
     """The rationals, with Fraction elements."""
@@ -399,11 +276,46 @@ class RationalField:
         return hash("Q")
 
 
+# Miller-Rabin with the first 13 prime bases decides primality of every n
+# below the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", 2017); the first 12 bases
+# alone are fooled by 318665857834031151167461
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality for 0 <= n < _PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p with integer elements in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _PRIME_LIMIT:
+            raise ValueError(f"{p} is too large; primes below {_PRIME_LIMIT} "
+                             "are supported")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -439,78 +351,89 @@ class PrimeField:
         return hash(("F", self.p))
 
 
-def field_kernel(F, n_rows, columns):
-    """Kernel vectors (combinations of the columns summing to zero)."""
-    ech = []  # (pivot, normalized column, combo over original columns)
-    kernel = []
-    n_cols = len(columns)
-    for j, c in enumerate(columns):
-        v = list(c)
-        combo = [F.zero] * n_cols
-        combo[j] = F.one
-        for piv, w, wc in ech:
-            f = v[piv]
-            if f != F.zero:
-                v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, w)]
-                combo = [F.sub(a, F.mul(f, b)) for a, b in zip(combo, wc)]
-        piv = next((i for i, a in enumerate(v) if a != F.zero), None)
-        if piv is None:
-            kernel.append(combo)
+# ---------------------------------------------------------------------------
+# column reduction over a field
+
+def _into(F, vec):
+    """A copy of a sparse vector with its coefficients mapped into F."""
+    out = {}
+    for r, c in vec.items():
+        c = F.of(c)
+        if c:
+            out[r] = c
+    return out
+
+
+def _subtract(F, vec, w, f):
+    """vec -= f * w in place, dropping the entries that cancel."""
+    for r, c in w.items():
+        v = F.sub(vec.get(r, F.zero), F.mul(f, c))
+        if v:
+            vec[r] = v
         else:
-            inv = F.inv(v[piv])
-            ech.append((piv, [F.mul(inv, a) for a in v],
-                        [F.mul(inv, a) for a in combo]))
-    return kernel
+            del vec[r]
 
 
-class QuotientReducer:
-    """Echelon store for vectors modulo a subspace, tagging each stored
-    row with its expression in the chosen homology generators."""
+class FieldReducer:
+    """Column reduction over a field, on sparse {row: coefficient} columns.
 
-    def __init__(self, F):
-        self.F = F
-        self.rows = []  # (pivot, normalized vector, tag dict)
+    Every stored column is scaled to 1 at its lowest nonzero row, its
+    pivot, and no two stored columns share a pivot.  A column is reduced
+    by clearing its lowest entry against the stored column with that
+    pivot until its lowest row is no pivot or it is empty; it is empty
+    exactly when it lies in the span of the stored columns.  The number
+    of stored columns is the rank.  When the columns are the boundaries
+    of a filtration's simplices in order, the pivot of a stored column
+    is the simplex whose class its simplex kills: the persistence pairs.
 
-    def _reduce(self, v):
-        F = self.F
-        v = list(v)
-        expr = {}
-        for piv, w, tag in self.rows:
-            c = v[piv]
-            if c != F.zero:
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, w)]
-                for g, t in tag.items():
-                    expr[g] = F.add(expr.get(g, F.zero), F.mul(c, t))
-        return v, expr
+    A column may carry a tag, a sparse combination {label: coefficient}
+    of the caller's labels, reduced alongside it: subtracting f times a
+    stored column subtracts f times its tag.  Column j tagged {j: 1}
+    that empties leaves a kernel vector as its tag.  A column stored
+    without a tag counts as tag zero.
+    """
 
-    def _store(self, v, tag):
-        F = self.F
-        piv = next(i for i, a in enumerate(v) if a != F.zero)
-        inv = F.inv(v[piv])
-        v = [F.mul(inv, a) for a in v]
-        tag = {g: F.mul(inv, t) for g, t in tag.items() if t != F.zero}
-        self.rows.append((piv, v, tag))
+    def __init__(self, field, columns=()):
+        self.field = field
+        self.pivots = {}  # pivot row -> (column, tag), scaled to 1 there
+        for col in columns:
+            self.add(col)
 
-    def add_boundary(self, v) -> None:
-        F = self.F
-        r, expr = self._reduce(v)
-        if any(a != F.zero for a in r):
-            self._store(r, {g: F.neg(t) for g, t in expr.items()})
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
-    def add_generator(self, v, g) -> bool:
-        """Install v as generator number g; False when v is dependent."""
-        F = self.F
-        r, expr = self._reduce(v)
-        if all(a == F.zero for a in r):
-            return False
-        tag = {h: F.neg(t) for h, t in expr.items()}
-        tag[g] = F.add(tag.get(g, F.zero), F.one)
-        self._store(r, tag)
-        return True
+    def reduce(self, col, tag=None):
+        """Copies of col and tag (None stays None), reduced against the
+        stored columns."""
+        F = self.field
+        col = _into(F, col)
+        tag = None if tag is None else _into(F, tag)
+        pivots = self.pivots
+        while col:
+            low = max(col)
+            hit = pivots.get(low)
+            if hit is None:
+                break
+            f = col[low]
+            _subtract(F, col, hit[0], f)
+            if tag is not None and hit[1]:
+                _subtract(F, tag, hit[1], f)
+        return col, tag
 
-    def coords(self, v, n_gens):
-        F = self.F
-        r, expr = self._reduce(v)
-        if any(a != F.zero for a in r):
-            raise ValueError("vector is outside the tracked span")
-        return [expr.get(g, F.zero) for g in range(n_gens)]
+    def add(self, col, tag=None):
+        """Reduce col and store it unless it empties.
+
+        Returns the reduced column and tag; the column is empty when col
+        was in the span of the stored columns, else its lowest row is
+        the new pivot.
+        """
+        col, tag = self.reduce(col, tag)
+        if col:
+            F = self.field
+            low = max(col)
+            inv = F.inv(col[low])
+            self.pivots[low] = (
+                {r: F.mul(inv, c) for r, c in col.items()},
+                tag and {g: F.mul(inv, c) for g, c in tag.items()})
+        return col, tag

@@ -4,16 +4,14 @@ Chains are generated by continuous maps out of interval powers: either
 cubes (tables of 2^n vertex values constrained by the chosen interval
 and product) or simplices (tuples constrained by the interval order).
 Boundary matrices are integer matrices; groups are read off via Smith
-data over Z and via ranks over Q or a prime field.
+data over Z and Q and via column-reduction ranks over a prime field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ._linalg import (PrimeField, QuotientReducer, RationalField, field_kernel,
-                      integer_kernel_basis, rank_and_invariants, rank_mod_p,
-                      snf_with_row_transform, solve_rational)
+from ._linalg import (FieldReducer, PrimeField, RationalField,
+                      integer_kernel_basis, rank_and_invariants, smith)
 from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
 from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
@@ -339,8 +337,9 @@ def homology(C: ChainComplex, n: int, coefficients: str = "z",
     rows_low, cols_low = _lower_boundary_data(C, n, reduced)
     cols_high = C.boundary_columns(n + 1)
     if kind == "f":
-        r_low = rank_mod_p(rows_low, cols_low, p) if rows_low else 0
-        r_high = rank_mod_p(dim_n, cols_high, p) if dim_n else 0
+        F = PrimeField(p)
+        r_low = FieldReducer(F, cols_low).rank
+        r_high = FieldReducer(F, cols_high).rank
         return HomologyGroup(dim_n - r_low - r_high, (), coefficients.lower())
     r_low = rank_and_invariants(rows_low, cols_low)[0] if rows_low else 0
     r_high, invs = rank_and_invariants(dim_n, cols_high) if dim_n else (0, [])
@@ -360,45 +359,30 @@ def singular_homology(X: FiniteClosureSpace, theory: Theory, n: int,
 # ---------------------------------------------------------------------------
 # homology bases with coordinates, used for induced maps and towers
 
-def _dense_columns(columns, n_rows):
-    out = []
-    for col in columns:
-        v = [0] * n_rows
-        for r, c in col.items():
-            v[r] = c
-        out.append(v)
-    return out
-
-
 class IntegerHomologyBasis:
-    """Generators and coordinates for homology with integer coefficients."""
+    """Generators and coordinates for homology with integer coefficients.
+
+    The cycles form a lattice with a basis from integer_kernel_basis; a
+    rational column reduction of that basis, each vector tagged with its
+    index, gives any cycle's lattice coordinates as the negated tag.
+    The boundaries in those coordinates go through ``smith``.
+    """
 
     def __init__(self, C: ChainComplex, n: int, reduced: bool = False):
         dim_n = C.dim(n)
-        rows_low, cols_low = _lower_boundary_data(C, n, reduced)
-        if rows_low:
-            kernel = integer_kernel_basis(rows_low, cols_low)
-        else:
-            kernel = [[1 if i == j else 0 for i in range(dim_n)]
-                      for j in range(dim_n)]
-        self._kernel = kernel
+        kernel = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
         k = len(kernel)
-        if k == 0:
-            self.dimension = 0
-            self.orders = []
-            self.generators = []
-            self._U = []
-            self._kept = []
-            return
-        bnds = _dense_columns(C.boundary_columns(n + 1), dim_n)
+        self._lattice = FieldReducer(RationalField())
+        for r, z in enumerate(kernel):
+            self._lattice.add(dict(enumerate(z)), {r: 1})
         rel_cols = []
-        for b in bnds:
-            a = solve_rational(kernel, b)
-            if a is None or any(f.denominator != 1 for f in a):
+        for b in C.boundary_columns(n + 1):
+            a = self._lattice_coords(b)
+            if a is None:
                 raise AssertionError("boundary outside the cycle lattice")
-            rel_cols.append([int(f) for f in a])
+            rel_cols.append(a)
         R = [[col[i] for col in rel_cols] for i in range(k)]
-        diag, U, Uinv = snf_with_row_transform(R)
+        diag, U, Uinv = smith(R)
         orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
         self._U = U
         self._kept = [i for i in range(k) if orders[i] != 1]
@@ -413,14 +397,23 @@ class IntegerHomologyBasis:
                         vec[t] += Uinv[r][i] * kernel[r][t]
             self.generators.append(vec)
 
+    def _lattice_coords(self, chain):
+        """Integer coordinates of a sparse chain in the kernel basis.
+
+        None when the chain is not an integer combination of the basis.
+        """
+        rest, tag = self._lattice.reduce(chain, {})
+        if rest or any(c.denominator != 1 for c in tag.values()):
+            return None
+        return [-int(tag.get(r, 0)) for r in range(self._lattice.rank)]
+
     def coords(self, cycle):
         """Coordinates of a cycle: torsion entries reduced modulo the order."""
         if self.dimension == 0:
             return []
-        a = solve_rational(self._kernel, cycle)
-        if a is None or any(f.denominator != 1 for f in a):
+        a = self._lattice_coords(dict(enumerate(cycle)))
+        if a is None:
             raise ValueError("not a cycle in the tracked lattice")
-        a = [int(f) for f in a]
         out = []
         for pos, i in enumerate(self._kept):
             b = sum(self._U[i][j] * a[j] for j in range(len(a)))
@@ -430,37 +423,41 @@ class IntegerHomologyBasis:
 
 
 class FieldHomologyBasis:
-    """Generators and coordinates for homology over a field."""
+    """Generators and coordinates for homology over a field.
+
+    The generators are the kernel vectors of the lower boundary that are
+    independent of the boundaries and of the generators before them.
+    One reducer holds the boundaries, untagged, then each generator g
+    tagged {g: 1}; a cycle's coordinates are the negated tag it is left
+    with once reduced to zero.
+    """
 
     def __init__(self, C: ChainComplex, n: int, field, reduced: bool = False):
         self.field = F = field
         dim_n = C.dim(n)
-        rows_low, cols_low = _lower_boundary_data(C, n, reduced)
-        if rows_low:
-            dense = [[F.of(col.get(r, 0)) for r in range(rows_low)]
-                     for col in cols_low]
-            kernel = field_kernel(F, rows_low, dense)
-        else:
-            kernel = [[F.one if i == j else F.zero for i in range(dim_n)]
-                      for j in range(dim_n)]
-        reducer = QuotientReducer(F)
-        for col in C.boundary_columns(n + 1):
-            v = [F.zero] * dim_n
-            for r, c in col.items():
-                v[r] = F.of(c)
-            reducer.add_boundary(v)
+        _, cols_low = _lower_boundary_data(C, n, reduced)
+        kernel = FieldReducer(F)
+        cycles = []
+        for j, col in enumerate(cols_low):
+            rest, tag = kernel.add(col, {j: 1})
+            if not rest:
+                cycles.append(tag)
+        self._reducer = FieldReducer(F, C.boundary_columns(n + 1))
         self.generators = []
-        for z in kernel:
-            if reducer.add_generator(z, len(self.generators)):
-                self.generators.append(z)
-        self._reducer = reducer
+        for z in cycles:
+            rest, _ = self._reducer.add(z, {len(self.generators): 1})
+            if rest:
+                self.generators.append([z.get(i, F.zero)
+                                        for i in range(dim_n)])
         self.dimension = len(self.generators)
         self.orders = [0] * self.dimension
 
     def coords(self, cycle):
-        v = [self.field.of(c) if not isinstance(c, Fraction) else c
-             for c in cycle]
-        return self._reducer.coords(v, self.dimension)
+        F = self.field
+        rest, tag = self._reducer.reduce(dict(enumerate(cycle)), {})
+        if rest:
+            raise ValueError("vector is outside the tracked span")
+        return [F.neg(tag.get(g, F.zero)) for g in range(self.dimension)]
 
 
 def homology_basis(C: ChainComplex, n: int, coefficients: str = "z",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._linalg import PrimeField, RationalField, field_kernel
+from ._linalg import FieldReducer, PrimeField, RationalField
 from .complexes import cech, cliques, vr
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
@@ -163,43 +163,21 @@ def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",
     field = _field_from_spec(coefficients)
     simplices = filtered_simplices(F, construction, max_dim)
     index = {s: i for i, (_, s) in enumerate(simplices)}
-    n = len(simplices)
-    columns = []
-    for _, s in simplices:
-        col = {}
-        if len(s) > 1:
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                col[index[face]] = field.of((-1) ** i)
-        columns.append(col)
-    lows = {}
+    reducer = FieldReducer(field)
     pairs = {d: [] for d in range(max_dim + 1)}
     unpaired = set()
-    for j in range(n):
-        col = columns[j]
-        while col:
-            low = max(col)
-            if low not in lows:
-                break
-            j2 = lows[low]
-            factor = field.mul(col[low], field.inv(columns[j2][low]))
-            for r, c in columns[j2].items():
-                v = field.sub(col.get(r, field.zero), field.mul(factor, c))
-                if v == field.zero:
-                    col.pop(r, None)
-                else:
-                    col[r] = v
-        if col:
-            low = max(col)
-            lows[low] = j
-            unpaired.discard(low)
-            birth = simplices[low][0]
-            death = simplices[j][0]
-            deg = len(simplices[low][1]) - 1
-            if birth != death and deg <= max_dim:
-                pairs[deg].append((birth, death))
-        else:
+    for j, (death, s) in enumerate(simplices):
+        col = ({index[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
+               if len(s) > 1 else {})
+        rest, _ = reducer.add(col)
+        if not rest:
             unpaired.add(j)
+            continue
+        low = max(rest)
+        unpaired.discard(low)
+        birth, face = simplices[low]
+        if birth != death and len(face) - 1 <= max_dim:
+            pairs[len(face) - 1].append((birth, death))
     for j in unpaired:
         deg = len(simplices[j][1]) - 1
         if deg <= max_dim:
@@ -233,11 +211,7 @@ def _mat_identity(F, n):
 
 
 def _mat_rank(F, A):
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    col_vecs = [[F.of(A[i][j]) if not isinstance(A[i][j], Fraction)
-                 else A[i][j] for i in range(rows)] for j in range(cols)]
-    return cols - len(field_kernel(F, rows, col_vecs))
+    return FieldReducer(F, (dict(enumerate(col)) for col in zip(*A))).rank
 
 
 def _mat_eq(F, A, B):
@@ -363,42 +337,67 @@ def tower_to_diagram(T: Tower) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 # bottleneck distance
 
-def _linf(b1, b2):
-    return max(abs(b1[0] - b2[0]), abs(b1[1] - b2[1]))
+def _augment(adj, match_right, root):
+    """Extend the matching along an augmenting path from root, if any.
 
-
-def _bipartite_feasible(n1, n2, allowed12, diag1, diag2):
-    """Perfect matching of size n1+n2 in the diagonal-augmented graph."""
-    size = n1 + n2
-    adj = [[] for _ in range(size)]  # left = bars1 then virtual diagonals
-    for i in range(n1):
-        adj[i] = [j for j in range(n2) if allowed12[i][j]]
-        if diag1[i]:
-            adj[i].append(n2 + i)
-    for j2 in range(n2):
-        left = n1 + j2
-        adj[left] = ([j2] if diag2[j2] else []) + list(range(n2, size))
-    match_right = [-1] * size
-
-    def augment(u, seen):
-        for v in adj[u]:
+    Depth-first over alternating paths with an explicit stack: path
+    holds the left vertices of the current path, via[i] the right vertex
+    joining path[i] to path[i + 1].
+    """
+    seen = set()
+    path, via, todo = [root], [], [iter(adj[root])]
+    while todo:
+        for v in todo[-1]:
             if v in seen:
                 continue
             seen.add(v)
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
+            if match_right[v] == -1:
+                for u, w in zip(path, via + [v]):
+                    match_right[w] = u
                 return True
-        return False
+            path.append(match_right[v])
+            via.append(v)
+            todo.append(iter(adj[match_right[v]]))
+            break
+        else:
+            todo.pop()
+            path.pop()
+            if via:
+                via.pop()
+    return False
 
-    matched = 0
+
+def _bipartite_feasible(dist, half1, half2, eps):
+    """Perfect matching of bars and diagonal copies within eps."""
+    n1, n2 = len(half1), len(half2)
+    size = n1 + n2
+    # left: bars1 then the diagonal copies of bars2; right: bars2 then
+    # the diagonal copies of bars1
+    adj = [[j for j, d in enumerate(row) if d <= eps]
+           + ([n2 + i] if half1[i] <= eps else [])
+           for i, row in enumerate(dist)]
+    copies1 = list(range(n2, size))
+    adj += [([j] if half2[j] <= eps else []) + copies1 for j in range(n2)]
+    match_right = [-1] * size
     for u in range(size):
-        if augment(u, set()):
-            matched += 1
-    return matched == size
+        # take a free neighbour first; the search only runs when none is left
+        v = next((v for v in adj[u] if match_right[v] == -1), None)
+        if v is not None:
+            match_right[v] = u
+        elif not _augment(adj, match_right, u):
+            return False
+    return True
 
 
 def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
-    """Bottleneck distance between two diagrams of the same degree."""
+    """Bottleneck distance between two diagrams of the same degree.
+
+    The distance is the least candidate eps (zero, a bar's half length
+    or an L-infinity distance between two bars) admitting a perfect
+    matching; feasibility grows with eps, so the sorted candidates are
+    binary-searched.  Endpoints are scaled by a common denominator so
+    the search compares integers.
+    """
     if D1.degree != D2.degree:
         raise BadParameter("bottleneck compares diagrams of one degree")
     inf1 = sorted(b for b, d in D1.pairs if d is None)
@@ -407,25 +406,28 @@ def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
         raise InfinityMismatch(
             f"{len(inf1)} vs {len(inf2)} infinite bars cannot be matched")
     inf_cost = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0)
-    bars1 = [bd for bd in D1.pairs if bd[1] is not None]
-    bars2 = [bd for bd in D2.pairs if bd[1] is not None]
-    n1, n2 = len(bars1), len(bars2)
-    if n1 == 0 and n2 == 0:
+    finite = [[(Fraction(b), Fraction(d)) for b, d in D.pairs if d is not None]
+              for D in (D1, D2)]
+    if not any(finite):
         return inf_cost
-    half1 = [(d - b) / 2 for b, d in bars1]
-    half2 = [(d - b) / 2 for b, d in bars2]
-    cands = {Fraction(0)}
-    cands.update(Fraction(h) for h in half1 + half2)
-    cands.update(Fraction(_linf(p, q)) for p in bars1 for q in bars2)
-    feasible = []
-    for eps in sorted(cands):
-        allowed = [[_linf(p, q) <= eps for q in bars2] for p in bars1]
-        diag1 = [h <= eps for h in half1]
-        diag2 = [h <= eps for h in half2]
-        if _bipartite_feasible(n1, n2, allowed, diag1, diag2):
-            feasible.append(eps)
-            break
-    return max(inf_cost, feasible[0])
+    # a common denominator, doubled so that half lengths are integers too
+    scale = 2 * math.lcm(*(v.denominator for bars in finite
+                           for bar in bars for v in bar))
+    bars1, bars2 = ([(int(b * scale), int(d * scale)) for b, d in bars]
+                    for bars in finite)
+    half1 = [(d - b) // 2 for b, d in bars1]
+    half2 = [(d - b) // 2 for b, d in bars2]
+    dist = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in bars2]
+            for b, d in bars1]
+    cands = sorted({0, *half1, *half2, *(x for row in dist for x in row)})
+    lo, hi = 0, len(cands) - 1  # the largest candidate is always feasible
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _bipartite_feasible(dist, half1, half2, cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(inf_cost, Fraction(cands[lo], scale))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,30 @@
 """Exact linear algebra oracles and singular homology checks."""
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import GF, QQ
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
 from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         CUBE_JPLUS_TIMES, SIMPLEX_J1, SIMPLEX_JPLUS,
                         ContinuousMap, DegreeOutOfRange, DimensionTooLarge,
-                        ProductKind, Theory, build_space,
+                        ParseError, ProductKind, Theory, build_space,
                         complex_chain_complex, complex_from_text,
                         cubical_chain_complex, homology, homology_basis,
                         induced_map, interval, is_continuous, j1, j_plus,
-                        point_space, product, product_power,
-                        singular_chain_complex, singular_homology)
-from closuretop._linalg import (PrimeField, RationalField, field_kernel,
-                                integer_kernel_basis, rank_and_invariants,
-                                rank_mod_p, snf_with_row_transform,
-                                solve_rational)
+                        parse_coefficients, point_space, product,
+                        product_power, singular_chain_complex,
+                        singular_homology)
+from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
+                                _is_prime, integer_kernel_basis,
+                                rank_and_invariants, smith)
 from closuretop.homology import (cube_degenerate, cube_face, enumerate_cubes,
                                  enumerate_simplices)
 from conftest import rand_space
@@ -58,46 +61,75 @@ def test_rank_and_invariants_against_sympy():
             assert invs == []
 
 
-def test_rank_mod_p_against_fraction_elimination():
+def _field_kernel(F, cols):
+    """Kernel vectors of the reducer: the tags of the columns that empty."""
+    reducer = FieldReducer(F)
+    kernel = []
+    for j, col in enumerate(cols):
+        rest, tag = reducer.add(col, {j: 1})
+        if not rest:
+            kernel.append(tag)
+    return reducer.rank, kernel
+
+
+def test_field_rank_and_kernel_against_sympy():
     rng = random.Random(73)
+    big = 4294967311  # (p - 1)^2 is past the int64 range
+    fields = [(RationalField(), QQ)] + [(PrimeField(p), GF(p))
+                                        for p in (2, 3, 5, big)]
     for _ in range(30):
         n_rows = rng.randint(1, 6)
         n_cols = rng.randint(1, 6)
-        p = rng.choice([2, 3, 5])
         cols = _rand_sparse_columns(rng, n_rows, n_cols)
-        F = PrimeField(p)
-        dense = [[F.of(col.get(r, 0)) for r in range(n_rows)] for col in cols]
-        oracle = n_cols - len(field_kernel(F, n_rows, dense))
-        assert rank_mod_p(n_rows, cols, p) == oracle
+        if rng.random() < 0.3:
+            # a column p - 1 times another, the shape of the int64 bug
+            cols.append({r: (big - 1) * c for r, c in cols[0].items()})
+        dm = DomainMatrix.from_list_sympy(n_rows, len(cols),
+                                          _dense(cols, n_rows))
+        for F, dom in fields:
+            rank, kernel = _field_kernel(F, cols)
+            oracle = dm.convert_to(dom)
+            assert rank == oracle.rank()
+            assert len(kernel) == oracle.nullspace().shape[0]
+            for k in kernel:
+                for r in range(n_rows):
+                    acc = F.zero
+                    for j, c in k.items():
+                        acc = F.add(acc, F.mul(c, F.of(cols[j].get(r, 0))))
+                    assert acc == F.zero
 
 
-def test_rank_mod_p_does_not_wrap_around_int64_for_large_primes():
+def test_field_rank_does_not_wrap_around_int64_for_large_primes():
     # (p - 1)^2 exceeds 2^63 - 1; the second column is p - 1 times the first
     p = 4294967311
     cols = [{0: 1, 1: p - 2}, {0: p - 1, 1: (p - 1) * (p - 2) % p}]
-    assert rank_mod_p(2, cols, p) == 1
+    assert FieldReducer(PrimeField(p), cols).rank == 1
 
 
 def test_integer_kernel_and_solver():
+    # the solver is the rational reducer over a kernel basis: the
+    # coordinates of a lattice vector are its negated tag
     rng = random.Random(79)
     for _ in range(30):
         n_rows = rng.randint(1, 5)
         n_cols = rng.randint(1, 5)
         cols = _rand_sparse_columns(rng, n_rows, n_cols)
         K = integer_kernel_basis(n_rows, cols)
-        rank, _ = rank_and_invariants(n_rows, cols)
-        assert len(K) == n_cols - rank
+        assert len(K) == n_cols - sympy.Matrix(_dense(cols, n_rows)).rank()
         for k in K:
             for r in range(n_rows):
                 assert sum(k[j] * cols[j].get(r, 0)
                            for j in range(n_cols)) == 0
         if K:
+            lattice = FieldReducer(RationalField())
+            for i, k in enumerate(K):
+                assert lattice.add(dict(enumerate(k)), {i: 1})[0]
             coeffs = [rng.randint(-2, 2) for _ in K]
             b = [sum(c * k[j] for c, k in zip(coeffs, K))
                  for j in range(n_cols)]
-            a = solve_rational(K, b)
-            assert a is not None
-            assert [int(x) for x in a] == coeffs
+            rest, tag = lattice.reduce(dict(enumerate(b)), {})
+            assert rest == {}
+            assert [-tag.get(i, 0) for i in range(len(K))] == coeffs
 
 
 def test_snf_row_transform_consistency():
@@ -106,7 +138,7 @@ def test_snf_row_transform_consistency():
         k = rng.randint(1, 4)
         m = rng.randint(1, 4)
         R = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
-        diag, U, Uinv = snf_with_row_transform(R)
+        diag, U, Uinv = smith(R)
         # U and Uinv are inverse integer matrices
         for i in range(k):
             for j in range(k):
@@ -119,6 +151,34 @@ def test_snf_row_transform_consistency():
             assert diag == expect
         else:
             assert diag == []
+
+
+def test_primality_against_sympy():
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        list(sympy.primerange(3000))
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 318665857834031151167461 to each of the first twelve prime bases
+    for n in (3215031751, 318665857834031151167461, 4294967311,
+              10 ** 18 + 3, 2 ** 61 - 1, 2 ** 61 + 1):
+        assert _is_prime(n) == sympy.isprime(n)
+
+
+def test_large_prime_coefficients():
+    start = time.perf_counter()
+    assert parse_coefficients("f1000000000000000003") == ("f", 10 ** 18 + 3)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ParseError):
+        parse_coefficients("f1000000000000000001")  # 101 * 9901 * ...
+    with pytest.raises(ParseError):
+        # a prime past the bound up to which primality is decided
+        parse_coefficients("f3317044064679887385962123")
+    # torsion-free, so every field sees the rational ranks
+    P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
+    C = cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2)
+    for n in (0, 1):
+        assert homology(C, n).torsion == ()
+        assert homology(C, n, "f1000000000000000003").rank == \
+            homology(C, n, "q").rank
 
 
 def test_unit_pivot_fast_path_on_structured_matrix():
@@ -322,15 +382,33 @@ def test_coefficient_consistency():
 def test_homology_basis_coords_roundtrip():
     Jp = interval(j_plus())
     P = product(Jp, Jp, ProductKind.INDUCTIVE)
-    for coeffs in ("z", "q", "f2"):
-        C = cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2)
-        B = homology_basis(C, 1, coeffs)
-        assert B.dimension == 1
-        for i, gen in enumerate(B.generators):
-            coords = B.coords(gen)
-            expect = [0] * B.dimension
-            expect[i] = 1
-            assert [Fraction(c) for c in coords] == expect
+    cases = [(cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2), 1),
+             (complex_chain_complex(complex_from_text(RP2, True)), 1)]
+    # random spaces, kept once six of them have a degree-1 class
+    rng = random.Random(127)
+    found = 0
+    while found < 6:
+        X = rand_space(rng, rng.randint(3, 5))
+        th = rng.choice([CUBE_J1_TIMES, CUBE_JPLUS_BOX, SIMPLEX_J1,
+                         SIMPLEX_JPLUS])
+        C = singular_chain_complex(X, th, 2)
+        if homology(C, 1, "q").rank:
+            cases.extend([(C, 0), (C, 1)])
+            found += 1
+    for C, n in cases:
+        for coeffs in ("z", "q", "f2", "f3", "f4294967311"):
+            B = homology_basis(C, n, coeffs)
+            h = homology(C, n, coeffs)
+            assert B.dimension == h.rank + len(h.torsion)
+            assert sorted(d for d in B.orders if d) == sorted(h.torsion)
+            for i, gen in enumerate(B.generators):
+                expect = [0] * B.dimension
+                expect[i] = 1
+                assert [Fraction(c) for c in B.coords(gen)] == expect
+            for col in C.boundary_columns(n + 1):
+                dense = [col.get(r, 0) for r in range(C.dim(n))]
+                assert all(c == 0 for c in B.coords(dense))
+    assert homology_basis(cases[0][0], 1, "q").dimension == 1
 
 
 def test_induced_map_identity_and_functoriality():

@@ -196,19 +196,76 @@ def test_bottleneck_hand_values():
     A = PersistenceDiagram(0, ((0, None), (0, 4)))
     B = PersistenceDiagram(0, ((1, None), (0, 3)))
     assert bottleneck(A, B) == 1
+    # within 1, (0, 12) reaches only (0, 11), which (0, 10) takes first
+    E = PersistenceDiagram(0, ((0, 10), (0, 12)))
+    G = PersistenceDiagram(0, ((0, 11), (1, 10)))
+    assert bottleneck(E, G) == 1
     with pytest.raises(InfinityMismatch):
         bottleneck(A, D1)
     with pytest.raises(BadParameter):
         bottleneck(D1, PersistenceDiagram(1, ()))
 
 
-def _rand_diagram(rng, degree=0, n_inf=0):
+def test_bottleneck_of_long_diagrams():
+    # 1200 bars each side: a recursive augmenting-path search goes about
+    # one level deeper per matched diagonal copy and overflows the stack
+    A = PersistenceDiagram(0, tuple((i, i + 10) for i in range(1200)))
+    half = Fraction(1, 2)
+    B = PersistenceDiagram(0, tuple((i + half, i + 10 + half)
+                                    for i in range(1200)))
+    assert bottleneck(A, B) == half
+    # within 1/2, bar j of C reaches bars j - 1 and j of D and takes bar
+    # j while it is free; bar 1000 of C then reaches only the taken bar
+    # 999, and its augmenting path runs down through every bar of C to
+    # the extra bar (-1/2, 99/2) of D, 1000 levels deep
+    C = PersistenceDiagram(0, tuple((j, j + 50) for j in range(1001)))
+    D = PersistenceDiagram(0, tuple((i + half, i + 50 + half)
+                                    for i in range(1000))
+                           + ((-half, 50 - half),))
+    assert bottleneck(C, D) == half
+
+
+def _rand_diagram(rng, degree=0, n_inf=0, max_bars=4):
     pairs = []
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(rng.randint(0, max_bars)):
         b = Fraction(rng.randint(0, 6))
         pairs.append((b, b + rng.randint(0, 5)))
     pairs.extend((Fraction(rng.randint(0, 4)), None) for _ in range(n_inf))
     return PersistenceDiagram(degree, tuple(pairs))
+
+
+def _brute_force_bottleneck(A, B):
+    """Least worst cost over all matchings of bars and diagonal copies."""
+    bars1 = [bd for bd in A.pairs if bd[1] is not None]
+    bars2 = [bd for bd in B.pairs if bd[1] is not None]
+    n1, n2 = len(bars1), len(bars2)
+
+    def cost(i, j):
+        # left: bars1, then diagonal copies of bars2; right: bars2, then
+        # diagonal copies of bars1
+        if i < n1 and j < n2:
+            (b, d), (b2, d2) = bars1[i], bars2[j]
+            return max(abs(b - b2), abs(d - d2))
+        if i < n1:
+            return (bars1[i][1] - bars1[i][0]) / 2 if j - n2 == i else INF
+        if j < n2:
+            return (bars2[j][1] - bars2[j][0]) / 2 if i - n1 == j else INF
+        return 0
+
+    best = min((max((cost(i, j) for i, j in enumerate(perm)), default=0)
+                for perm in itertools.permutations(range(n1 + n2))))
+    inf1 = sorted(b for b, d in A.pairs if d is None)
+    inf2 = sorted(b for b, d in B.pairs if d is None)
+    return max([best] + [abs(a - b) for a, b in zip(inf1, inf2)])
+
+
+def test_bottleneck_against_brute_force():
+    rng = random.Random(139)
+    for _ in range(40):
+        k = rng.randint(0, 1)
+        A = _rand_diagram(rng, n_inf=k, max_bars=3)
+        B = _rand_diagram(rng, n_inf=k, max_bars=3)
+        assert bottleneck(A, B) == _brute_force_bottleneck(A, B)
 
 
 def test_bottleneck_is_a_pseudo_metric():
