@@ -14,6 +14,15 @@ def _sorted_simplices(simplices):
     return sorted(simplices, key=lambda s: (len(s), sorted(s, key=repr)))
 
 
+def _downward_closure(sets):
+    """Every nonempty subset of each of the given sets, as frozensets."""
+    out = set()
+    for s in sets:
+        for r in range(1, len(s) + 1):
+            out.update(map(frozenset, combinations(s, r)))
+    return out
+
+
 class Hypergraph:
     """A point set together with a set of nonempty hyperedges."""
 
@@ -183,13 +192,8 @@ def vr(X: FiniteClosureSpace) -> SimplicialComplex:
 
 def cech(X: FiniteClosureSpace) -> SimplicialComplex:
     """Cech complex: sets contained in the closure of some point of X."""
-    simplices = set()
-    for x in X.points:
-        cx = sorted(X.closure_map[x], key=repr)
-        for r in range(1, len(cx) + 1):
-            for t in combinations(cx, r):
-                simplices.add(frozenset(t))
-    return SimplicialComplex(X.points, simplices)
+    return SimplicialComplex(
+        X.points, _downward_closure(X.closure_map[x] for x in X.points))
 
 
 def g_functor(K: SimplicialComplex) -> FiniteClosureSpace:
@@ -206,13 +210,8 @@ def g_functor(K: SimplicialComplex) -> FiniteClosureSpace:
 
 def gamma(X: FiniteClosureSpace) -> Hypergraph:
     """Downward closure of the collection of singleton closures."""
-    edges = set()
-    for x in X.points:
-        cx = sorted(X.closure_map[x], key=repr)
-        for r in range(1, len(cx) + 1):
-            for t in combinations(cx, r):
-                edges.add(frozenset(t))
-    return Hypergraph(X.points, edges)
+    return Hypergraph(
+        X.points, _downward_closure(X.closure_map[x] for x in X.points))
 
 
 def cosk1(G: FiniteClosureSpace) -> SimplicialComplex:
@@ -238,13 +237,7 @@ def tr1(K: SimplicialComplex) -> FiniteClosureSpace:
 
 def dc(H: Hypergraph) -> Hypergraph:
     """Downward closure of a hypergraph."""
-    edges = set()
-    for e in H.edges:
-        e = sorted(e, key=repr)
-        for r in range(1, len(e) + 1):
-            for t in combinations(e, r):
-                edges.add(frozenset(t))
-    return Hypergraph(H.points, edges)
+    return Hypergraph(H.points, _downward_closure(H.edges))
 
 
 def tr_inf(H: Hypergraph) -> SimplicialComplex:
@@ -321,15 +314,8 @@ def complex_from_text(text: str, close_downward: bool = False) -> SimplicialComp
     if not simplices:
         raise ParseError("empty complex file")
     if close_downward:
-        closed = set()
-        for s in simplices:
-            s = sorted(s)
-            for r in range(1, len(s) + 1):
-                for t in combinations(s, r):
-                    closed.add(frozenset(t))
-        simplices = closed
-        for p in points:
-            simplices.add(frozenset([p]))
+        # every point lies on some line, so its singleton is in the closure
+        simplices = _downward_closure(simplices)
     try:
         return SimplicialComplex(points, simplices)
     except BadParameter as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -122,13 +123,8 @@ class FilteredClosureSpace:
 
     def stage_at(self, t) -> FiniteClosureSpace:
         """Stage at the largest grid value <= t; the empty space below the grid."""
-        out = EMPTY_SPACE
-        for v, stage in zip(self.grid, self.stages):
-            if v <= t:
-                out = stage
-            else:
-                break
-        return out
+        i = bisect_right(self.grid, t) - 1
+        return self.stages[i] if i >= 0 else EMPTY_SPACE
 
     def final_stage(self) -> FiniteClosureSpace:
         return self.stages[-1]

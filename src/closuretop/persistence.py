@@ -1,15 +1,16 @@
 """Persistence of filtered closure spaces.
 
 Diagrams come from two routes: column reduction of a filtered
-simplicial complex, and rank counting on a tower of stage homology
-groups with inclusion-induced maps.  The module also provides the
-bottleneck distance, correspondence distortion with the derived
+simplicial complex, and one elder-rule sweep along a tower of stage
+homology groups with inclusion-induced maps.  The module also provides
+the bottleneck distance, correspondence distortion with the derived
 Gromov-Hausdorff distance, and interleaving verification.
 """
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -210,19 +211,16 @@ def _mat_identity(F, n):
     return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
 
 
-def _mat_rank(F, A):
-    return FieldReducer(F, (dict(enumerate(col)) for col in zip(*A))).rank
-
-
-def _mat_eq(F, A, B):
-    if len(A) != len(B):
-        return False
-    for ra, rb in zip(A, B):
-        if len(ra) != len(rb):
-            return False
-        if any(a != b for a, b in zip(ra, rb)):
-            return False
-    return True
+def _image(F, M, v):
+    """The matrix M (a list of rows) applied to the sparse vector v."""
+    out = {}
+    for r, row in enumerate(M):
+        c = F.zero
+        for i, a in v.items():
+            c = F.add(c, F.mul(row[i], a))
+        if c:
+            out[r] = c
+    return out
 
 
 class Tower:
@@ -236,6 +234,8 @@ class Tower:
         grid = tuple(grid)
         if len(dims) != len(grid) or len(maps) != len(grid) - 1:
             raise ShapeMismatch("tower pieces do not align with the grid")
+        if any(not a < b for a, b in zip(grid, grid[1:])):
+            raise ShapeMismatch("tower grid must be strictly increasing")
         for i, M in enumerate(maps):
             if len(M) != dims[i + 1] or any(len(r) != dims[i] for r in M):
                 raise ShapeMismatch(f"map {i} has the wrong shape")
@@ -250,11 +250,8 @@ class Tower:
 
     def index_at(self, t):
         """Largest grid index with value <= t; None below the grid."""
-        out = None
-        for i, v in enumerate(self.grid):
-            if v <= t:
-                out = i
-        return out
+        i = bisect_right(self.grid, t) - 1
+        return None if i < 0 else i
 
     def dim_at(self, t) -> int:
         i = self.index_at(t)
@@ -268,9 +265,6 @@ class Tower:
         for k in range(i, j):
             acc = _mat_mul(self.field, self.maps[k], acc)
         return acc
-
-    def rank_between(self, i: int, j: int) -> int:
-        return _mat_rank(self.field, self.map_between(i, j))
 
 
 def _stage_complex(stage, theory, top):
@@ -311,27 +305,39 @@ def persistence_tower(F: FilteredClosureSpace, theory, degree: int,
 
 
 def tower_to_diagram(T: Tower) -> PersistenceDiagram:
-    """Bars from the rank function of the tower (inclusion-exclusion)."""
+    """Bars of the tower from one sweep along the grid (the elder rule).
+
+    The live classes, oldest first, hold their birth index and a vector
+    in the current stage, and form a basis of it.  At each stage their
+    images are added in birth order to a fresh reducer: an image that
+    empties lies in the span of older classes, so its class dies there;
+    the others stay live.  The unit vectors that do not empty after them
+    are the classes born at that stage.  See Zomorodian and Carlsson,
+    "Computing persistent homology" (2005).
+    """
+    F = T.field
     k = len(T.grid)
-    r = [[0] * k for _ in range(k)]
-    for i in range(k):
-        r[i][i] = T.dims[i]
-        acc = _mat_identity(T.field, T.dims[i])
-        for j in range(i + 1, k):
-            acc = _mat_mul(T.field, T.maps[j - 1], acc)
-            r[i][j] = _mat_rank(T.field, acc)
-
-    def rr(i, j):
-        return 0 if i < 0 else r[i][j]
-
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            m = rr(i, j - 1) - rr(i, j) - rr(i - 1, j - 1) + rr(i - 1, j)
-            pairs.extend([(T.grid[i], T.grid[j])] * m)
-        m = rr(i, k - 1) - rr(i - 1, k - 1)
-        pairs.extend([(T.grid[i], None)] * m)
-    return PersistenceDiagram(T.degree, tuple(pairs))
+    bars = []
+    live = []  # (birth index, sparse vector in the current stage)
+    for j in range(k):
+        reducer = FieldReducer(F)
+        survivors = []
+        for b, v in live:
+            w = _image(F, T.maps[j - 1], v)
+            if reducer.add(w)[0]:
+                survivors.append((b, w))
+            else:
+                bars.append((b, j))
+        for r in range(T.dims[j]):
+            if reducer.add({r: F.one})[0]:
+                survivors.append((j, {r: F.one}))
+        live = survivors
+    bars += [(b, k) for b, _ in live]
+    ends = T.grid + (None,)
+    # one tuple per distinct bar, shared by its copies
+    pair = {bd: (ends[bd[0]], ends[bd[1]]) for bd in bars}
+    return PersistenceDiagram(
+        T.degree, tuple(pair[bd] for bd in sorted(bars)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +589,20 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
         # triangles: going across and back equals the 2*eps structure map,
         # compared after pushing both composites to level t + 2*eps
         lhs = _mat_mul(F, M.map_between(jj, two), _mat_mul(F, psi[j], phi[i]))
-        if not _mat_eq(F, lhs, M.map_between(i, two)):
+        if lhs != M.map_between(i, two):
             return False
         lhs = _mat_mul(F, N.map_between(jj, two), _mat_mul(F, phi[j], psi[i]))
-        if not _mat_eq(F, lhs, N.map_between(i, two)):
+        if lhs != N.map_between(i, two):
             return False
     for i in range(k - 1):
         # naturality squares between consecutive grid values
         lhs = _mat_mul(F, phi[i + 1], M.map_between(i, i + 1))
         rhs = _mat_mul(F, N.map_between(shift[i], shift[i + 1]), phi[i])
-        if not _mat_eq(F, lhs, rhs):
+        if lhs != rhs:
             return False
         lhs = _mat_mul(F, psi[i + 1], N.map_between(i, i + 1))
         rhs = _mat_mul(F, M.map_between(shift[i], shift[i + 1]), psi[i])
-        if not _mat_eq(F, lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 

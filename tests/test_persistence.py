@@ -21,6 +21,8 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         metric_from_matrix, persistence_complex,
                         persistence_tower, singular_chain_complex,
                         tower_to_diagram, verify_interleaving, vr)
+from closuretop._linalg import PrimeField, RationalField
+from closuretop.persistence import Tower
 from conftest import rand_metric, rand_space
 
 
@@ -176,13 +178,107 @@ def test_tower_ranks_and_indexing():
     F = filtered_from_metric(M)
     T = persistence_tower(F, "complex-vr", 0, "f2")
     assert T.dims == [2, 1]
-    assert T.rank_between(0, 1) == 1
+    assert tower_to_diagram(T).as_multiset() == {(0, 3): 1, (0, None): 1}
     assert T.index_at(-1) is None and T.dim_at(-1) == 0
     assert T.index_at(Fraction(5, 2)) == 0
     with pytest.raises(ShapeMismatch):
         T.map_between(1, 0)
     with pytest.raises(BadParameter):
         persistence_tower(F, "complex-vr", 0, "z")
+
+
+def test_tower_index_against_scan_and_grid_order():
+    grid = (0, Fraction(1, 2), 2, 5)
+    T = Tower(grid, [0] * 4, [[]] * 3, PrimeField(2), 0)
+    for t in (-1, 0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3, 5, 6):
+        below = [i for i, v in enumerate(grid) if v <= t]
+        assert T.index_at(t) == (below[-1] if below else None)
+    for bad in ((0, 2, 1), (0, 1, 1)):
+        with pytest.raises(ShapeMismatch):
+            Tower(bad, [0] * 3, [[]] * 2, PrimeField(2), 0)
+
+
+def _oracle_mul(F, A, B, cols):
+    """A times B for dense matrices (lists of rows); B has cols columns."""
+    out = []
+    for row in A:
+        out.append([F.zero] * cols)
+        for t, a in enumerate(row):
+            for c in range(cols):
+                out[-1][c] = F.add(out[-1][c], F.mul(a, B[t][c]))
+    return out
+
+
+def _oracle_rank(F, A):
+    """Rank of a dense matrix (list of rows) by Gaussian elimination."""
+    rows = [list(r) for r in A]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = F.inv(rows[rank][c])
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = F.mul(rows[r][c], inv)
+                rows[r] = [F.sub(a, F.mul(f, b))
+                           for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_diagram(T):
+    """Bars by inclusion-exclusion on the rank function r(i, j) of T."""
+    F, k = T.field, len(T.grid)
+    r = [[0] * k for _ in range(k)]
+    for i in range(k):
+        acc = [[F.one if a == b else F.zero for b in range(T.dims[i])]
+               for a in range(T.dims[i])]
+        r[i][i] = T.dims[i]
+        for j in range(i + 1, k):
+            acc = _oracle_mul(F, T.maps[j - 1], acc, T.dims[i])
+            r[i][j] = _oracle_rank(F, acc)
+
+    def rr(i, j):
+        return 0 if i < 0 else r[i][j]
+
+    bars = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            m = rr(i, j - 1) - rr(i, j) - rr(i - 1, j - 1) + rr(i - 1, j)
+            if m:
+                bars[(T.grid[i], T.grid[j])] = m
+        m = rr(i, k - 1) - rr(i - 1, k - 1)
+        if m:
+            bars[(T.grid[i], None)] = m
+    return bars
+
+
+def test_tower_sweep_matches_rank_function_oracle():
+    rng = random.Random(577)
+    fields = [PrimeField(2), PrimeField(3), RationalField()]
+    ranks_seen = set()
+    for n in range(1200):
+        F = fields[n % 3]
+        k = rng.randint(1, 7)
+        grid = sorted(rng.sample(range(20), k))
+        dims = [rng.randint(0, 4) for _ in range(k)]
+        maps = []
+        for a, b in zip(dims, dims[1:]):
+            # a product through a random inner dimension gives every rank
+            # from 0 (a zero map) up to min(a, b)
+            inner = rng.randint(0, min(a, b))
+            L = [[F.of(rng.randint(-2, 2)) for _ in range(inner)]
+                 for _ in range(b)]
+            R = [[F.of(rng.randint(-2, 2)) for _ in range(a)]
+                 for _ in range(inner)]
+            M = _oracle_mul(F, L, R, a)
+            ranks_seen.add((min(a, b), _oracle_rank(F, M)))
+            maps.append(M)
+        T = Tower(grid, dims, maps, F, 0)
+        assert tower_to_diagram(T).as_multiset() == _oracle_diagram(T)
+    assert {(m, r) for m in range(5) for r in range(m + 1)} <= ranks_seen
 
 
 def test_bottleneck_hand_values():
