@@ -1,21 +1,26 @@
 """Metric-induced closures and filtered closure spaces.
 
 A filtered closure space is a finite ascending grid of critical values
-with one closure space per grid value, point sets and singleton
-closures both growing along the grid.  Values read from files are kept
-as exact fractions so grid arithmetic stays exact.
+and closure spaces over it whose point sets and singleton closures both
+grow along the grid.  It is stored as a table of pair births, the first
+grid index at which y lies in the closure of x (x's own birth for
+y = x), filled straight from a metric, a weighted digraph or a sublevel
+function; stages are built from the table only on demand.  Values read
+from files are kept as exact fractions so grid arithmetic stays exact.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import sub
 
 from .errors import BadParameter, MissingPoint, NegativeEpsilon, ParseError
-from .spaces import FiniteClosureSpace, subspace
+from .spaces import FiniteClosureSpace
 
 EMPTY_SPACE = FiniteClosureSpace([], {})
 
@@ -43,19 +48,31 @@ class FiniteMetric:
                 if (x, y) not in dist:
                     raise BadParameter(f"no distance for {(x, y)!r}")
                 d[(x, y)] = dist[(x, y)]
-        for x in pts:
-            if d[(x, x)] != 0:
+        # exact integer rows: each distance times the lcm of the denominators
+        try:
+            exact = [[Fraction(d[(x, y)]) for y in pts] for x in pts]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadParameter(f"distances must be finite numbers: {exc}") from exc
+        scale = math.lcm(*(v.denominator for row in exact for v in row))
+        rows = [[v.numerator * (scale // v.denominator) for v in row]
+                for row in exact]
+        for i, x in enumerate(pts):
+            row = rows[i]
+            if row[i] != 0:
                 raise BadParameter(f"nonzero self distance at {x!r}")
-            for y in pts:
-                if d[(x, y)] < 0:
+            for j, y in enumerate(pts):
+                dxy = row[j]
+                if dxy < 0:
                     raise BadParameter("negative distance")
-                if d[(x, y)] != d[(y, x)]:
+                if dxy != rows[j][i]:
                     raise BadParameter(f"asymmetric distance at {(x, y)!r}")
-                if not pseudo and x != y and d[(x, y)] == 0:
+                if not pseudo and i != j and dxy == 0:
                     raise BadParameter(f"zero distance between distinct points {(x, y)!r}")
-                for z in pts:
-                    if d[(x, z)] > d[(x, y)] + d[(y, z)]:
-                        raise BadParameter(f"triangle inequality fails at {(x, y, z)!r}")
+                # d(x, z) <= d(x, y) + d(y, z) for every z
+                if max(map(sub, row, rows[j])) > dxy:
+                    k = next(k for k, (a, b) in enumerate(zip(row, rows[j]))
+                             if a - b > dxy)
+                    raise BadParameter(f"triangle inequality fails at {(x, y, pts[k])!r}")
         self.points = pts
         self.dist = d
 
@@ -100,9 +117,20 @@ def metric_closure(M: FiniteMetric, eps, dec: Decoration = Decoration.CLOSED) ->
 
 
 class FilteredClosureSpace:
-    """A right-continuous step function of closure spaces over a finite grid."""
+    """A right-continuous step function of closure spaces over a finite grid.
 
-    __slots__ = ("grid", "stages")
+    Stored as a table of pair births: for each point x of the final
+    stage, births[x] maps every y that ever enters the closure of x to
+    the first grid index at which it does, and births[x][x] is the
+    index at which x itself appears.  Stages are built from the table
+    on demand and cached; the table is read-only by convention.
+
+    The constructor takes the grid and one closure space per grid
+    value, checks that point sets and closures are nested, converts
+    them to the table and caches the given stages.
+    """
+
+    __slots__ = ("grid", "points", "births", "_stages")
 
     def __init__(self, grid, stages):
         grid = tuple(grid)
@@ -118,24 +146,63 @@ class FilteredClosureSpace:
             for x in A.points:
                 if not A.closure_map[x] <= B.closure_map[x]:
                     raise BadParameter("stage closures must be nested")
+        births = {x: {} for x in stages[-1].points}
+        for i, stage in enumerate(stages):
+            for x in stage.points:
+                row = births[x]
+                for y in stage.closure_map[x]:
+                    row.setdefault(y, i)
         self.grid = grid
-        self.stages = stages
+        self.points = stages[-1].points
+        self.births = births
+        self._stages = dict(enumerate(stages))
+
+    @classmethod
+    def _from_births(cls, grid, points, births) -> "FilteredClosureSpace":
+        """Filtration from a table the caller has built consistent: a
+        strictly increasing grid, one row per point holding its own
+        birth, and births[x][y] >= max(births[x][x], births[y][y])."""
+        if not grid:
+            raise BadParameter("grid must be nonempty")
+        F = cls.__new__(cls)
+        F.grid = tuple(grid)
+        F.points = tuple(points)
+        F.births = births
+        F._stages = {}
+        return F
+
+    def stage(self, i) -> FiniteClosureSpace:
+        """The closure space at grid index i, built once and cached."""
+        if i not in self._stages:
+            if not 0 <= i < len(self.grid):
+                raise IndexError(f"no stage {i!r} on a grid of {len(self.grid)}")
+            rows = self.births
+            pts = [x for x in self.points if rows[x][x] <= i]
+            cmap = {x: [y for y, b in rows[x].items() if b <= i] for x in pts}
+            self._stages[i] = FiniteClosureSpace(pts, cmap)
+        return self._stages[i]
+
+    @property
+    def stages(self):
+        """Every stage, in grid order; builds those not built yet."""
+        return tuple(self.stage(i) for i in range(len(self.grid)))
 
     def stage_at(self, t) -> FiniteClosureSpace:
         """Stage at the largest grid value <= t; the empty space below the grid."""
         i = bisect_right(self.grid, t) - 1
-        return self.stages[i] if i >= 0 else EMPTY_SPACE
+        return self.stage(i) if i >= 0 else EMPTY_SPACE
 
     def final_stage(self) -> FiniteClosureSpace:
-        return self.stages[-1]
+        return self.stage(len(self.grid) - 1)
 
     def __eq__(self, other):
         if not isinstance(other, FilteredClosureSpace):
             return NotImplemented
-        return self.grid == other.grid and self.stages == other.stages
+        # births has one row per point, so this compares the point sets too
+        return self.grid == other.grid and self.births == other.births
 
     def __repr__(self):
-        return f"FilteredClosureSpace(grid={self.grid!r}, {len(self.stages)} stages)"
+        return f"FilteredClosureSpace(grid={self.grid!r}, {len(self.grid)} stages)"
 
 
 def stage_at(F: FilteredClosureSpace, t) -> FiniteClosureSpace:
@@ -145,15 +212,22 @@ def stage_at(F: FilteredClosureSpace, t) -> FiniteClosureSpace:
 def filtered_from_metric(M: FiniteMetric, dec: Decoration = Decoration.CLOSED) -> FilteredClosureSpace:
     """Filtration over the grid of pairwise distances (with 0 prepended).
 
-    For MINUS the stage stored at grid value t is the strict-ball
-    closure at t, which equals the closed-ball closure at the previous
-    grid value; diagrams then differ from CLOSED only by the endpoint
-    convention.
+    One sort of the distances gives the grid.  Under CLOSED (and PLUS) y
+    enters the closure of x at the index of d(x, y); under MINUS, the
+    strict-ball closure, at the next index, so the stage at grid value t
+    is the closed-ball closure at the previous grid value, and diagrams
+    differ from CLOSED only by the endpoint convention.  A pair at the
+    largest distance never relates under MINUS.  Every point is born at 0.
     """
-    vals = sorted({M.dist[(x, y)] for x in M.points for y in M.points} | {0 * Fraction(1)})
-    grid = vals if vals[0] == 0 else [0] + vals
-    stages = [metric_closure(M, t, dec) for t in grid]
-    return FilteredClosureSpace(grid, stages)
+    grid = sorted(set(M.dist.values()) | {0 * Fraction(1)})
+    index = {t: i for i, t in enumerate(grid)}
+    shift = 1 if dec is Decoration.MINUS else 0
+    births = {x: {x: 0} for x in M.points}
+    for (x, y), v in M.dist.items():
+        b = index[v] + shift
+        if x != y and b < len(grid):
+            births[x][y] = b
+    return FilteredClosureSpace._from_births(grid, M.points, births)
 
 
 class WeightedDigraph:
@@ -180,26 +254,33 @@ class WeightedDigraph:
 
 
 def filtered_from_weighted_digraph(G: WeightedDigraph) -> FilteredClosureSpace:
-    """Stage t keeps the edges of weight at most t (plus all loops)."""
-    vals = sorted({v for v in G.weights.values()} | {0 * Fraction(1)})
-    grid = vals if vals and vals[0] == 0 else [0] + vals
-    stages = []
-    for t in grid:
-        cmap = {x: frozenset({x} | {y for (a, y), v in G.weights.items()
-                                    if a == x and v <= t})
-                for x in G.points}
-        stages.append(FiniteClosureSpace(G.points, cmap))
-    return FilteredClosureSpace(grid, stages)
+    """Stage t keeps the edges of weight at most t (plus all loops).
+
+    Every point is born at 0 and an edge at the index of its weight.
+    """
+    grid = sorted(set(G.weights.values()) | {0 * Fraction(1)})
+    index = {t: i for i, t in enumerate(grid)}
+    births = {x: {x: 0} for x in G.points}
+    for (x, y), v in G.weights.items():
+        births[x][y] = index[v]
+    return FilteredClosureSpace._from_births(grid, G.points, births)
 
 
 def filtered_from_sublevel(X: FiniteClosureSpace, f) -> FilteredClosureSpace:
-    """Sublevel filtration of f with the subspace closures of X."""
+    """Sublevel filtration of f with the subspace closures of X.
+
+    A point is born at the index of its value, and y enters the closure
+    of x, when y is in X's closure of x, once both points are present.
+    """
     for x in X.points:
         if x not in f:
             raise MissingPoint(f"no function value for {x!r}")
     grid = sorted(set(f[x] for x in X.points))
-    stages = [subspace(X, [x for x in X.points if f[x] <= t]) for t in grid]
-    return FilteredClosureSpace(grid, stages)
+    index = {t: i for i, t in enumerate(grid)}
+    born = {x: index[f[x]] for x in X.points}
+    births = {x: {y: max(born[x], born[y]) for y in X.closure_map[x]}
+              for x in X.points}
+    return FilteredClosureSpace._from_births(grid, X.points, births)
 
 
 # ---------------------------------------------------------------------------

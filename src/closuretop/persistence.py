@@ -117,26 +117,23 @@ def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
     reduction in degrees up to max_dim can use.  The list is sorted by
     birth, then size, then the points' reprs.
 
-    No stage complex is built.  One scan of the stages reads, for every
-    pair (x, y), the first stage at which y is in the closure of x; the
-    births are stage indices until the grid values go into the output.
-    A vertex x is born at (x, x).  A VR simplex is a clique of mutually
-    close points, born at the latest of its edges' births, each edge
-    born when both directions are present; cliques are enumerated only
-    up to the vertex cap.  A Cech simplex is born at the earliest stage
-    at which it lies in the closure of some point x, so its birth is the
-    minimum over centres x of the latest (x, y) birth over its points y;
-    only subsets within the vertex cap of each final closure are visited.
+    No stage complex is built.  The births are read from F's table of
+    pair births, as grid indices until the grid values go into the
+    output.  A vertex x is born at (x, x).  A VR simplex is a clique of
+    mutually close points, born at the latest of its edges' births,
+    each edge born when both directions are present; cliques are
+    enumerated only up to the vertex cap.  A Cech simplex is born at the
+    earliest stage at which it lies in the closure of some point x, so
+    its birth is the minimum over centres x of the latest (x, y) birth
+    over its points y; only subsets within the vertex cap of each final
+    closure are visited.
     """
     if construction not in ("vr", "cech"):
         raise BadParameter(f"unknown construction {construction!r}")
-    stage_of = {t: i for i, t in enumerate(F.grid)}
-    points = sorted(F.final_stage().points, key=repr)
+    points = sorted(F.points, key=repr)
     at = {x: i for i, x in enumerate(points)}
     # rows[i][j]: first stage index with points[j] in the closure of points[i]
-    rows = [{} for _ in points]
-    for (x, y), t in _first_relation(F).items():
-        rows[at[x]][at[y]] = stage_of[t]
+    rows = [{at[y]: b for y, b in F.births[x].items()} for x in points]
     size = max_dim + 2
     births = {}
     if construction == "vr":
@@ -442,8 +439,8 @@ def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
 def check_correspondence(C, FX: FilteredClosureSpace,
                          FY: FilteredClosureSpace):
     """Validate a relation as surjective both ways on the total point sets."""
-    X = set(FX.final_stage().points)
-    Y = set(FY.final_stage().points)
+    X = set(FX.points)
+    Y = set(FY.points)
     rel = set()
     for pair in C:
         if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -457,30 +454,18 @@ def check_correspondence(C, FX: FilteredClosureSpace,
     return rel
 
 
-def _first_relation(F: FilteredClosureSpace):
-    """(x, x') -> first grid value with x' in the closure of x; missing = never."""
-    out = {}
-    for t, stage in zip(F.grid, F.stages):
-        for x in stage.points:
-            for x2 in stage.closure_map[x]:
-                out.setdefault((x, x2), t)
-    return out
+def _pair_term(FX, FY, xs, ys):
+    """Least eps the tuple demands, in both transfer directions.
 
-
-def _pair_term(firstX, firstY, xs, ys):
-    """Least eps the tuple demands, in both transfer directions."""
-    a = firstX.get(xs)
-    b = firstY.get(ys)
-    worst = 0
-    if a is not None:
-        if b is None:
-            return INF
-        worst = max(worst, b - a)
-    if b is not None:
-        if a is None:
-            return INF
-        worst = max(worst, a - b)
-    return worst
+    xs = (x, x') and ys = (y, y') are compared by the grid values at
+    which x' enters the closure of x and y' that of y.
+    """
+    a = FX.births[xs[0]].get(xs[1])
+    b = FY.births[ys[0]].get(ys[1])
+    if a is None or b is None:
+        return 0 if a is None and b is None else INF
+    a, b = FX.grid[a], FY.grid[b]
+    return max(0, b - a, a - b)
 
 
 def distortion(C, FX: FilteredClosureSpace, FY: FilteredClosureSpace):
@@ -491,12 +476,10 @@ def distortion(C, FX: FilteredClosureSpace, FY: FilteredClosureSpace):
     symmetrically.  Singleton appearance levels are the diagonal case.
     """
     rel = sorted(check_correspondence(C, FX, FY), key=repr)
-    firstX = _first_relation(FX)
-    firstY = _first_relation(FY)
     worst = 0
     for (x, y) in rel:
         for (x2, y2) in rel:
-            term = _pair_term(firstX, firstY, (x, x2), (y, y2))
+            term = _pair_term(FX, FY, (x, x2), (y, y2))
             if term == INF:
                 return INF
             worst = max(worst, term)
@@ -510,20 +493,18 @@ def gh_distance(FX: FilteredClosureSpace, FY: FilteredClosureSpace,
     Exhaustive search with branch-and-bound over the per-point choice
     of image subsets; capped because the candidate count is exponential.
     """
-    X = list(FX.final_stage().points)
-    Y = list(FY.final_stage().points)
+    X = list(FX.points)
+    Y = list(FY.points)
     if len(X) > cap or len(Y) > cap:
         raise CapExceeded(f"gh_distance caps both sizes at {cap}")
     if not X or not Y:
         return 0 if not X and not Y else INF
-    firstX = _first_relation(FX)
-    firstY = _first_relation(FY)
     nx, ny = len(X), len(Y)
     pair_ids = [(i, j) for i in range(nx) for j in range(ny)]
     W = {}
     for p in pair_ids:
         for q in pair_ids:
-            W[(p, q)] = _pair_term(firstX, firstY,
+            W[(p, q)] = _pair_term(FX, FY,
                                    (X[p[0]], X[q[0]]), (Y[p[1]], Y[q[1]]))
     subsets = [s for s in range(1, 1 << ny)]
     best = [INF]

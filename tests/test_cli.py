@@ -4,6 +4,7 @@ import json
 import pytest
 
 from closuretop import build_space, space_to_json
+from closuretop import cli
 from closuretop.cli import main
 
 SQUARE_CSV = ("a,b,c,d\n"
@@ -157,3 +158,33 @@ def test_outputs_are_deterministic(square_path, capsys):
         assert main(["persist", "--metric", square_path, "--json"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+def test_reused_parser_gives_fresh_results(square_path, space_path,
+                                          monkeypatch, capsys):
+    calls = [["persist", "--metric", square_path, "--json"],
+             ["homology", space_path, "--coeffs", "f2", "--json"],
+             ["persist", "--construction", "alpha"],
+             ["persist", "--metric", square_path, "--json"],
+             ["persist", "--metric", square_path, "--decoration", "minus"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    reused = [run(argv) for argv in calls]
+    parser = cli._PARSER
+    assert parser is not None
+    assert [run(argv) for argv in calls] == reused
+    assert cli._PARSER is parser
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(argv))
+    assert fresh == reused
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
+    assert reused[3] == reused[0]

@@ -1,18 +1,20 @@
 """Metric and digraph filtrations, decorations, product laws, parsing."""
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from closuretop import (BadParameter, Decoration, FilteredClosureSpace,
-                        FiniteMetric, NegativeEpsilon, ParseError,
+                        FiniteClosureSpace, FiniteMetric, NegativeEpsilon,
+                        ParseError,
                         ProductKind, WeightedDigraph, build_space,
                         digraph_from_text, filtered_from_metric,
                         filtered_from_sublevel, filtered_from_weighted_digraph,
                         l1_product, linf_product, metric_closure,
                         metric_from_csv, metric_from_matrix, parse_number,
-                        product, stage_at, sublevel_from_csv)
+                        product, stage_at, subspace, sublevel_from_csv)
 from conftest import rand_metric, rand_space
 
 
@@ -33,6 +35,25 @@ def test_metric_validation():
     with pytest.raises(BadParameter):
         metric_from_matrix(["a", "b", "c"],
                            [[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
+
+
+def test_triangle_check_is_exact_and_names_the_first_triple():
+    # 0.1 + 0.2 rounds to 0.30000000000000004 in floats; exactly it is less
+    with pytest.raises(BadParameter, match=r"\('a', 'b', 'c'\)"):
+        metric_from_matrix(["a", "b", "c"],
+                           [[0, 0.1, 0.30000000000000004], [0.1, 0, 0.2],
+                            [0.30000000000000004, 0.2, 0]])
+    third = Fraction(1, 3)
+    metric_from_matrix(["a", "b", "c"],
+                       [[0, third, 0.5], [third, 0, Fraction(1, 5)],
+                        [0.5, Fraction(1, 5), 0]])
+    # the first failing (x, y, z) in row order, as a plain scan finds it
+    d = [[0, 1, 1, 9], [1, 0, 1, 1], [1, 1, 0, 1], [9, 1, 1, 0]]
+    with pytest.raises(BadParameter, match=r"\('a', 'b', 'd'\)"):
+        metric_from_matrix("abcd", d)
+    with pytest.raises(BadParameter, match="finite"):
+        metric_from_matrix(["a", "b"], [[0, float("inf")],
+                                        [float("inf"), 0]])
 
 
 def test_metric_closure_decorations():
@@ -184,3 +205,91 @@ def test_digraph_filtration_keeps_loops_and_thresholds_edges():
     assert F.stages[1].closure_map["a"] == frozenset({"a", "b"})
     assert F.stages[1].closure_map["b"] == frozenset({"b"})
     assert F.stages[2].closure_map["b"] == frozenset({"a", "b"})
+
+
+# ---------------------------------------------------------------------------
+# the pair-birth table against the per-stage constructions
+
+
+def _stage_of(grid, stages, t):
+    i = bisect_right(grid, t) - 1
+    return stages[i] if i >= 0 else None
+
+
+def _assert_table_matches_stages(F, grid, stages):
+    """F equals the filtration of the stage list, stage by stage,
+    at, between, below and above the grid values."""
+    assert F.grid == tuple(grid)
+    assert FilteredClosureSpace(grid, stages) == F
+    probes = list(grid) + [grid[0] - 1, grid[-1] + 1]
+    probes += [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+    for t in probes:
+        want = _stage_of(grid, stages, t)
+        got = F.stage_at(t)
+        if want is None:
+            assert got.points == ()
+        else:
+            assert got == want and got.points == want.points
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(),
+       st.sampled_from(list(Decoration)))
+def test_metric_table_matches_metric_closures(seed, n, pseudo, dec):
+    rng = random.Random(seed)
+    M = rand_metric(rng, n, coord_range=rng.choice([2, 8]), pseudo=pseudo)
+    F = filtered_from_metric(M, dec)
+    grid = sorted(set(M.dist.values()) | {0})
+    _assert_table_matches_stages(F, grid, [metric_closure(M, t, dec)
+                                           for t in grid])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6))
+def test_digraph_table_matches_per_weight_stages(seed, n):
+    rng = random.Random(seed)
+    pts = [f"v{i}" for i in range(n)]
+    weights = {(a, b): Fraction(rng.randint(0, 6), rng.randint(1, 2))
+               for a in pts for b in pts if a != b and rng.random() < 0.5}
+    G = WeightedDigraph(pts, weights)
+    F = filtered_from_weighted_digraph(G)
+    grid = sorted(set(weights.values()) | {0})
+    stages = [FiniteClosureSpace(pts, {x: {x} | {y for (a, y), v in
+                                                 weights.items()
+                                                 if a == x and v <= t}
+                                       for x in pts})
+              for t in grid]
+    _assert_table_matches_stages(F, grid, stages)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6))
+def test_sublevel_table_matches_subspaces(seed, n):
+    rng = random.Random(seed)
+    X = rand_space(rng, n, p=rng.choice([0.3, 0.7]))
+    f = {x: Fraction(rng.randint(0, 4), rng.randint(1, 3)) for x in X.points}
+    F = filtered_from_sublevel(X, f)
+    grid = sorted(set(f.values()))
+    _assert_table_matches_stages(
+        F, grid, [subspace(X, [x for x in X.points if f[x] <= t])
+                  for t in grid])
+
+
+def test_stages_are_built_on_demand_and_cached():
+    M = metric_from_matrix(["a", "b", "c"],
+                           [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    F = filtered_from_metric(M)
+    assert F.births == {"a": {"a": 0, "b": 1, "c": 2},
+                        "b": {"a": 1, "b": 0, "c": 1},
+                        "c": {"a": 2, "b": 1, "c": 0}}
+    assert F.stage(1) is F.stage_at(Fraction(3, 2)) is F.stages[1]
+    assert F.final_stage() is F.stages[-1]
+    with pytest.raises(IndexError):
+        F.stage(3)
+    minus = filtered_from_metric(M, Decoration.MINUS)
+    assert minus.births["a"] == {"a": 0, "b": 2}  # d(a, c) is the largest
+    # the stage-list constructor keeps the given stage objects
+    stages = [metric_closure(M, t) for t in F.grid]
+    G = FilteredClosureSpace(F.grid, stages)
+    assert G == F and all(G.stage(i) is s for i, s in enumerate(stages))
+    assert G != filtered_from_metric(M, Decoration.MINUS)

@@ -161,6 +161,60 @@ def test_forty_point_metric_within_budget():
                 _union_find_diagram(pts, edges[construction]).as_multiset())
 
 
+def test_persistence_builds_no_stage(monkeypatch):
+    """The filtration factories, persistence_complex, distortion and
+    gh_distance read the pair-birth table and build no closure space."""
+    from closuretop import filtrations
+    built = []
+    real = filtrations.FiniteClosureSpace
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    rng = random.Random(167)
+    M = rand_metric(rng, 6)
+    X = rand_space(rng, 5)
+    monkeypatch.setattr(filtrations, "FiniteClosureSpace", counting)
+    filtered = [filtered_from_metric(M, dec) for dec in Decoration]
+    filtered.append(filtered_from_sublevel(
+        X, {x: Fraction(rng.randint(0, 3)) for x in X.points}))
+    filtered.append(filtered_from_weighted_digraph(WeightedDigraph(
+        M.points, {(x, y): M.d(x, y) for x in M.points for y in M.points
+                   if x < y})))
+    for F in filtered:
+        for construction in ("vr", "cech"):
+            persistence_complex(F, construction, max_dim=1)
+        C = {(x, rng.choice(M.points)) for x in F.points}
+        C |= {(rng.choice(F.points), y) for y in M.points}
+        distortion(C, F, filtered[0])
+    small = filtered_from_metric(rand_metric(rng, 3))
+    gh_distance(small, small)
+    assert built == []
+    assert filtered[0].stage(2).points == M.points  # on demand it builds
+    assert len(built) == 1
+
+
+def test_eighty_point_generic_metric():
+    """Generic distances give thousands of grid values, and degree 0
+    still matches Kruskal's tree."""
+    rng = random.Random(173)
+    coords = set()
+    while len(coords) < 80:
+        coords.add((rng.randrange(10 ** 6), rng.randrange(10 ** 6)))
+    coords = sorted(coords)
+    pts = [f"m{i}" for i in range(80)]
+    d = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in coords] for a in coords]
+    M = metric_from_matrix(pts, d)
+    F = filtered_from_metric(M)
+    assert len(F.grid) > 3000
+    out = persistence_complex(F, "vr", max_dim=0)
+    edges = [(d[i][j], pts[i], pts[j])
+             for i, j in itertools.combinations(range(80), 2)]
+    assert out[0].as_multiset() == \
+        _union_find_diagram(pts, edges).as_multiset()
+
+
 def test_tower_diagram_matches_matrix_reduction():
     rng = random.Random(131)
     for _ in range(10):
