@@ -3,8 +3,11 @@
 Chains are generated by continuous maps out of interval powers: either
 cubes (tables of 2^n vertex values constrained by the chosen interval
 and product) or simplices (tuples constrained by the interval order).
-Boundary matrices are integer matrices; groups are read off via Smith
-data over Z and Q and via column-reduction ranks over a prime field.
+One assembly builds these complexes and those of simplicial complexes:
+it lists the shapes of each degree, drops the degenerate ones, and
+counts a face outside the basis below as zero.  Boundary matrices are
+integer matrices; groups are read off via Smith data over Z and Q and
+via column-reduction ranks over a prime field.
 """
 from __future__ import annotations
 
@@ -191,39 +194,65 @@ class ChainComplex:
         return self.boundaries.get(n, [])
 
 
+def _assemble(shapes, faces, top) -> ChainComplex:
+    """The chain complex of shapes(n), n = 0 .. top, with signed faces.
+
+    faces(s, n) lists the pairs (face, sign) of an n-shape s, or is None
+    when s is degenerate; degenerate shapes are dropped.  A face that is
+    not in the basis one degree down counts as zero.
+    """
+    basis = {0: shapes(0)}
+    boundaries = {}
+    for n in range(1, top + 1):
+        prev = {b: i for i, b in enumerate(basis[n - 1])}
+        basis[n] = kept = []
+        boundaries[n] = cols = []
+        for s in shapes(n):
+            signed = faces(s, n)
+            if signed is None:
+                continue
+            col = {}
+            for face, sign in signed:
+                row = prev.get(face)
+                if row is not None:
+                    col[row] = col.get(row, 0) + sign
+            kept.append(s)
+            cols.append({r: c for r, c in col.items() if c})
+    return ChainComplex(basis, boundaries, top)
+
+
+def _cube_faces(table, n):
+    """The 2n signed faces of an n-cube table; None if it is degenerate."""
+    out = []
+    for i in range(1, n + 1):
+        low = cube_face(table, n, i, 0)
+        high = cube_face(table, n, i, 1)
+        if low == high:
+            return None
+        sign = (-1) ** i
+        out += ((low, sign), (high, -sign))
+    return out
+
+
+def _simplex_faces(tup, n):
+    """The n+1 signed faces of an ordered n-simplex."""
+    return [(tup[:i] + tup[i + 1:], (-1) ** i) for i in range(n + 1)]
+
+
+def _check_singular(theory: Theory, shape: str, top: int, cap):
+    if theory.shape != shape:
+        raise BadParameter(f"a {shape} chain complex needs a {shape} theory")
+    cap = theory.default_cap() if cap is None else cap
+    if top > cap:
+        raise DimensionTooLarge(f"{shape} dimension {top} exceeds the cap {cap}")
+
+
 def cubical_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
                           cap: int = None) -> ChainComplex:
     """Chain complex of nondegenerate singular cubes up to dimension top."""
-    if theory.shape != "cube":
-        raise BadParameter("cubical_chain_complex needs a cube theory")
-    cap = DEFAULT_CUBE_CAP if cap is None else cap
-    if top > cap:
-        raise DimensionTooLarge(f"cube dimension {top} exceeds the cap {cap}")
-    basis = {0: enumerate_cubes(X, theory, 0)}
-    boundaries = {}
-    for n in range(1, top + 1):
-        if not basis[n - 1]:
-            basis[n] = []
-            boundaries[n] = []
-            continue
-        prev_index = {b: i for i, b in enumerate(basis[n - 1])}
-        tables = [t for t in enumerate_cubes(X, theory, n)
-                  if not cube_degenerate(t, n)]
-        cols = []
-        for table in tables:
-            col = {}
-            for i in range(1, n + 1):
-                for bit in (0, 1):
-                    face = cube_face(table, n, i, bit)
-                    if n > 1 and cube_degenerate(face, n - 1):
-                        continue
-                    sgn = (-1) ** i if bit == 0 else -((-1) ** i)
-                    row = prev_index[face]
-                    col[row] = col.get(row, 0) + sgn
-            cols.append({r: c for r, c in col.items() if c})
-        basis[n] = tables
-        boundaries[n] = cols
-    return ChainComplex(basis, boundaries, top)
+    _check_singular(theory, "cube", top, cap)
+    return _assemble(lambda n: enumerate_cubes(X, theory, n), _cube_faces,
+                     top)
 
 
 def simplicial_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
@@ -232,34 +261,11 @@ def simplicial_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
 
     Unnormalized by default: degenerate tuples are kept as basis
     elements, so the point space has rank one in every degree.
+    Normalized theories leave them out, so their faces count as zero.
     """
-    if theory.shape != "simplex":
-        raise BadParameter("simplicial_chain_complex needs a simplex theory")
-    cap = DEFAULT_SIMPLEX_CAP if cap is None else cap
-    if top > cap:
-        raise DimensionTooLarge(f"simplex dimension {top} exceeds the cap {cap}")
-    basis = {0: enumerate_simplices(X, theory, 0)}
-    boundaries = {}
-    for n in range(1, top + 1):
-        if not basis[n - 1]:
-            basis[n] = []
-            boundaries[n] = []
-            continue
-        prev_index = {b: i for i, b in enumerate(basis[n - 1])}
-        tuples = enumerate_simplices(X, theory, n)
-        cols = []
-        for tup in tuples:
-            col = {}
-            for i in range(n + 1):
-                face = tup[:i] + tup[i + 1:]
-                if face not in prev_index:
-                    continue  # normalized mode drops degenerate faces
-                row = prev_index[face]
-                col[row] = col.get(row, 0) + (-1) ** i
-            cols.append({r: c for r, c in col.items() if c})
-        basis[n] = tuples
-        boundaries[n] = cols
-    return ChainComplex(basis, boundaries, top)
+    _check_singular(theory, "simplex", top, cap)
+    return _assemble(lambda n: enumerate_simplices(X, theory, n),
+                     _simplex_faces, top)
 
 
 def singular_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
@@ -274,24 +280,11 @@ def complex_chain_complex(K, top: int = None) -> ChainComplex:
     by_dim = {}
     for s in K.simplices:
         by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s, key=repr)))
-    dim = max(by_dim) if by_dim else 0
     if top is None:
-        top = dim
-    basis = {}
-    boundaries = {}
-    for n in range(top + 1):
-        basis[n] = sorted(by_dim.get(n, []), key=lambda t: tuple(map(repr, t)))
-    for n in range(1, top + 1):
-        prev_index = {b: i for i, b in enumerate(basis[n - 1])}
-        cols = []
-        for tup in basis[n]:
-            col = {}
-            for i in range(n + 1):
-                row = prev_index[tup[:i] + tup[i + 1:]]
-                col[row] = col.get(row, 0) + (-1) ** i
-            cols.append(col)
-        boundaries[n] = cols
-    return ChainComplex(basis, boundaries, top)
+        top = max(by_dim, default=0)
+    return _assemble(
+        lambda n: sorted(by_dim.get(n, []), key=lambda t: tuple(map(repr, t))),
+        _simplex_faces, top)
 
 
 # ---------------------------------------------------------------------------
@@ -490,30 +483,35 @@ def chain_map_columns(C_src: ChainComplex, C_tgt: ChainComplex, n: int,
 
     With a theory the bases are singular shapes; without one they are
     ordered simplices of simplicial complexes, where images with
-    repeated vertices die and reordering contributes a sign.
+    repeated vertices die and reordering contributes a sign.  A
+    degenerate image maps to zero; any other image must be a basis
+    element of the target, else the map is not continuous.
     """
     tgt_index = C_tgt.index.get(n, {})
     cols = []
     for b in C_src.basis.get(n, []):
         image = tuple(mapping[x] for x in b)
-        if theory is not None and theory.shape == "cube":
-            if n > 0 and cube_degenerate(image, n):
-                cols.append({})
-                continue
-            cols.append({tgt_index[image]: 1})
-        elif theory is not None:
-            if theory.normalized and any(
-                    image[i] == image[i + 1] for i in range(len(image) - 1)):
-                cols.append({})
-                continue
-            cols.append({tgt_index[image]: 1})
-        else:
+        sign = 1
+        if theory is None:
             if len(set(image)) != len(image):
                 cols.append({})
                 continue
             order = sorted(range(len(image)), key=lambda i: repr(image[i]))
             sign = _permutation_sign(order)
-            cols.append({tgt_index[tuple(image[i] for i in order)]: sign})
+            image = tuple(image[i] for i in order)
+        elif theory.shape == "cube":
+            if n > 0 and cube_degenerate(image, n):
+                cols.append({})
+                continue
+        elif theory.normalized and any(
+                image[i] == image[i + 1] for i in range(len(image) - 1)):
+            cols.append({})
+            continue
+        row = tgt_index.get(image)
+        if row is None:
+            raise NotContinuous(f"the degree-{n} shape {b!r} maps to "
+                                f"{image!r}, outside the target's basis")
+        cols.append({row: sign})
     return cols
 
 

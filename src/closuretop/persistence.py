@@ -20,9 +20,9 @@ from .complexes import cech, cliques, vr
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
 from .filtrations import FilteredClosureSpace
-from .homology import (ChainComplex, Theory, complex_chain_complex,
-                       homology_basis, induced_map_between,
-                       parse_coefficients, singular_chain_complex)
+from .homology import (Theory, complex_chain_complex, homology_basis,
+                       induced_map_between, parse_coefficients,
+                       singular_chain_complex)
 
 INF = math.inf
 
@@ -268,8 +268,6 @@ def _stage_complex(stage, theory, top):
     if isinstance(theory, Theory):
         return singular_chain_complex(stage, theory, top)
     if theory in ("complex-vr", "complex-cech"):
-        if not stage.points:
-            return ChainComplex({0: []}, {}, top)
         K = vr(stage) if theory == "complex-vr" else cech(stage)
         return complex_chain_complex(K, top=top)
     raise BadParameter(f"unknown theory {theory!r}")
@@ -532,7 +530,7 @@ def gh_distance(FX: FilteredClosureSpace, FY: FilteredClosureSpace,
                 extend(i + 1, chosen + new, covered | s, m)
 
     extend(0, [], 0, 0)
-    return best[0] / 2 if best[0] not in (INF, 0) else best[0]
+    return best[0] if best[0] == INF else Fraction(best[0], 2)
 
 
 # ---------------------------------------------------------------------------

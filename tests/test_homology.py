@@ -15,18 +15,19 @@ from sympy.polys.matrices import DomainMatrix
 from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         CUBE_JPLUS_TIMES, SIMPLEX_J1, SIMPLEX_JPLUS,
                         ContinuousMap, DegreeOutOfRange, DimensionTooLarge,
-                        ParseError, ProductKind, Theory, build_space,
-                        complex_chain_complex, complex_from_text,
-                        cubical_chain_complex, homology, homology_basis,
-                        induced_map, interval, is_continuous, j1, j_plus,
-                        parse_coefficients, point_space, product,
+                        NotContinuous, ParseError, ProductKind, Theory,
+                        build_space, cech, complex_chain_complex,
+                        complex_from_text, cubical_chain_complex, homology,
+                        homology_basis, induced_map, interval, is_continuous,
+                        j1, j_plus, parse_coefficients, point_space, product,
                         product_power, singular_chain_complex,
-                        singular_homology)
+                        singular_homology, vr)
 from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
                                 _is_prime, integer_kernel_basis,
                                 rank_and_invariants, smith)
-from closuretop.homology import (cube_degenerate, cube_face, enumerate_cubes,
-                                 enumerate_simplices)
+from closuretop.homology import (chain_map_columns, cube_degenerate, cube_face,
+                                 enumerate_cubes, enumerate_simplices,
+                                 induced_map_between)
 from conftest import rand_space
 
 
@@ -278,6 +279,113 @@ def test_shape_enumerators_against_brute_force():
                         if not th.normalized
                         or all(a != b for a, b in zip(t, t[1:]))]
                 assert enumerate_simplices(X, th, n) == want
+
+
+def _literal_complex(shapes, signed_faces, degenerate, top):
+    """Basis and boundary columns by the literal loop: every n-shape,
+    degenerate ones dropped, and every face retested for degeneracy."""
+    basis = {0: shapes(0)}
+    boundaries = {}
+    for n in range(1, top + 1):
+        prev_index = {b: i for i, b in enumerate(basis[n - 1])}
+        basis[n] = [s for s in shapes(n) if not degenerate(s, n)]
+        cols = []
+        for s in basis[n]:
+            col = {}
+            for face, sign in signed_faces(s, n):
+                if degenerate(face, n - 1):
+                    continue
+                row = prev_index[face]
+                col[row] = col.get(row, 0) + sign
+            cols.append({r: c for r, c in col.items() if c})
+        boundaries[n] = cols
+    return basis, boundaries
+
+
+def _literal_cube_faces(table, n):
+    return [(cube_face(table, n, i, bit), (-1) ** (i + bit))
+            for i in range(1, n + 1) for bit in (0, 1)]
+
+
+def _literal_simplex_faces(tup, n):
+    return [(tup[:i] + tup[i + 1:], (-1) ** i) for i in range(n + 1)]
+
+
+def _literal_singular(X, th, top):
+    if th.shape == "cube":
+        J = interval(j1() if th.interval == "j1" else j_plus())
+        return _literal_complex(
+            lambda n: _brute_force_maps(product_power(J, n, th.product), X),
+            _literal_cube_faces,
+            lambda t, n: n > 0 and cube_degenerate(t, n), top)
+
+    def shapes(n):
+        S = build_space(range(n + 1), {
+            a: range(0 if th.interval == "j1" else a, n + 1)
+            for a in range(n + 1)})
+        return _brute_force_maps(S, X)
+    return _literal_complex(
+        shapes, _literal_simplex_faces,
+        lambda t, n: th.normalized and any(a == b for a, b in zip(t, t[1:])),
+        top)
+
+
+def _literal_clique(K, top):
+    by_dim = {}
+    for s in K.simplices:
+        by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s, key=repr)))
+    if top is None:
+        top = max(by_dim, default=0)
+    return _literal_complex(
+        lambda n: sorted(by_dim.get(n, []),
+                         key=lambda t: tuple(map(repr, t))),
+        _literal_simplex_faces, lambda t, n: False, top)
+
+
+def test_chain_complexes_against_literal_build():
+    # same bases in the same order and the same boundary columns
+    rng = random.Random(157)
+    cube_theories = (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
+                     CUBE_JPLUS_BOX)
+    simplex_theories = (SIMPLEX_J1, SIMPLEX_JPLUS,
+                        Theory("simplex", "j1", normalized=True),
+                        Theory("simplex", "jplus", normalized=True))
+    for size in (1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5):
+        X = rand_space(rng, size, p=rng.choice((0.3, 0.5, 0.7)))
+        cases = [(th, 3 if size <= 3 else 2) for th in cube_theories]
+        cases += [(th, 3) for th in simplex_theories]
+        for th, top in cases:
+            C = singular_chain_complex(X, th, top)
+            assert (C.basis, C.boundaries) == _literal_singular(X, th, top)
+        for K in (vr(X), cech(X)):
+            for top in (None, 1, 3):
+                C = complex_chain_complex(K, top=top)
+                assert (C.basis, C.boundaries) == _literal_clique(K, top)
+
+
+def test_chain_map_outside_the_target_raises_not_continuous():
+    # the indiscrete two-point space into the discrete one: the edge
+    # (0, 1) is a shape of the source whose image is none of the target
+    X = build_space([0, 1], {0: {0, 1}, 1: {0, 1}})
+    Y = build_space([0, 1, 2], {y: {y} for y in range(3)})
+    cases = [(lambda S: cubical_chain_complex(S, CUBE_J1_TIMES, 2),
+              CUBE_J1_TIMES, False),
+             (lambda S: singular_chain_complex(S, SIMPLEX_J1, 2),
+              SIMPLEX_J1, True),
+             (lambda S: complex_chain_complex(vr(S), top=2), None, False)]
+    for build, th, keeps_degenerate in cases:
+        C_src, C_tgt = build(X), build(Y)
+        for call in (
+                lambda: chain_map_columns(C_src, C_tgt, 1, {0: 0, 1: 1},
+                                          theory=th),
+                lambda: induced_map_between(C_src, C_tgt, {0: 0, 1: 1}, 1,
+                                            theory=th)):
+            with pytest.raises(NotContinuous, match=r"\(0, 1\)"):
+                call()
+        # a degenerate image maps to zero, unless the basis keeps it
+        cols = chain_map_columns(C_src, C_tgt, 1, {0: 0, 1: 0}, theory=th)
+        want = {C_tgt.index[1][(0, 0)]: 1} if keeps_degenerate else {}
+        assert cols[C_src.index[1][(0, 1)]] == want
 
 
 # ---------------------------------------------------------------------------

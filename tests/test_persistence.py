@@ -510,6 +510,22 @@ def test_distortion_on_metric_pairs():
     assert gh_distance(FA, FB) == Fraction(abs(a - b), 2)
 
 
+def test_gh_distance_is_exact():
+    # half an odd integer term is a Fraction, not a rounded float
+    big = 2 ** 60
+    FA = filtered_from_metric(metric_from_matrix(["x", "y"], [[0, 1], [1, 0]]))
+    FB = filtered_from_metric(metric_from_matrix(["u", "v"],
+                                                 [[0, big], [big, 0]]))
+    got = gh_distance(FA, FB)
+    assert type(got) is Fraction
+    assert got == Fraction(big - 1, 2)
+    GA = filtered_from_weighted_digraph(WeightedDigraph("xy", {("x", "y"): 1}))
+    GB = filtered_from_weighted_digraph(WeightedDigraph("uv", {("u", "v"): 4}))
+    got = gh_distance(GA, GB)
+    assert type(got) is Fraction
+    assert got == Fraction(3, 2)
+
+
 def test_distortion_bounds_sublevel_shift():
     rng = random.Random(149)
     for _ in range(10):
