@@ -530,7 +530,7 @@ def gh_distance(FX: FilteredClosureSpace, FY: FilteredClosureSpace,
                 extend(i + 1, chosen + new, covered | s, m)
 
     extend(0, [], 0, 0)
-    return best[0] if best[0] == INF else Fraction(best[0], 2)
+    return best[0] if best[0] == INF else best[0] / Fraction(2)
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,13 @@ def test_gh_distance_is_exact():
     got = gh_distance(GA, GB)
     assert type(got) is Fraction
     assert got == Fraction(3, 2)
+    # float distances stay floats
+    FC = filtered_from_metric(metric_from_matrix(["x", "y"],
+                                                 [[0, 0.5], [0.5, 0]]))
+    FD = filtered_from_metric(metric_from_matrix(["u", "v"],
+                                                 [[0, 1.5], [1.5, 0]]))
+    assert gh_distance(FC, FC) == 0
+    assert gh_distance(FC, FD) == 0.5
 
 
 def test_distortion_bounds_sublevel_shift():
