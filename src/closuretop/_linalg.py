@@ -3,9 +3,9 @@
 Over the integers, ``smith`` is the one Smith reduction: a dense
 matrix over Python ints, with its row transform.  ``rank_and_invariants``
 first eliminates unit pivots, which cover almost all of a boundary
-matrix, with numpy int64 row operations (moving to Python ints before a
-product could leave int64) and hands the small residue to ``smith``;
-``integer_kernel_basis`` gives a lattice basis of an integer kernel.
+matrix, by sparse column operations over Python ints, and hands the
+small residue to ``smith``; ``integer_kernel_basis`` gives a lattice
+basis of an integer kernel.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
@@ -17,81 +17,50 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-_OVERFLOW_LIMIT = 1 << 44
-
-
-def _dedup_columns(columns):
-    """Drop zero columns and duplicates (up to sign); both are column ops."""
-    seen = set()
-    uniq = []
-    for col in columns:
-        items = tuple(sorted((r, c) for r, c in col.items() if c))
-        if not items:
-            continue
-        if items[0][1] < 0:
-            items = tuple((r, -c) for r, c in items)
-        if items not in seen:
-            seen.add(items)
-            uniq.append(items)
-    return uniq
-
 
 def rank_and_invariants(n_rows, columns):
     """Rank and invariant factors of an integer matrix given as sparse columns.
 
-    columns is an iterable of {row_index: coefficient} dicts.  Unit
-    pivots are eliminated with vectorized integer row operations; the
-    residue without unit entries goes through ``smith``.
+    columns is an iterable of {row_index: coefficient} dicts over
+    n_rows rows, of which only those with entries matter.  A column
+    with a unit entry at row r is removed with row r, after every other
+    column with an entry in row r takes the multiple of it that clears
+    that entry; each removal is one invariant factor 1.  The residue
+    without unit entries goes through ``smith``.
     """
-    uniq = _dedup_columns(columns)
-    if not uniq:
-        return 0, []
-    n_cols = len(uniq)
-    M = np.zeros((n_rows, n_cols), dtype=np.int64)
-    for j, items in enumerate(uniq):
-        for r, c in items:
-            M[r, j] = c
-    ones = 0
-    pending = list(range(n_cols))
-    exact = False
-    progress = True
-    while progress:
-        progress = False
-        next_pending = []
-        for j in pending:
-            col = M[:, j].copy()
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
+    cols = dict(enumerate({r: c for r, c in col.items() if c}
+                          for col in columns))
+    at_row = {}  # row -> the columns with an entry there
+    for j, col in cols.items():
+        for r in col:
+            at_row.setdefault(r, set()).add(j)
+    ones, before = 0, None
+    while ones != before:
+        before = ones
+        for j in list(cols):
+            col = cols[j]
+            r = next((r for r, c in col.items() if c in (1, -1)), None)
+            if r is None:
                 continue
-            units = nz[np.abs(col[nz]) == 1]
-            if units.size == 0:
-                next_pending.append(j)
-                continue
-            r = int(units[0])
-            p = int(M[r, j])
-            rows = nz[nz != r]
-            if rows.size:
-                # |col[rows]| * |M[r, :]| + |M[rows, :]| bounds the new
-                # entries, and rows together with r make up nz
-                if not exact and ((int(np.abs(col[rows]).max()) + 1)
-                                  * int(np.abs(M[nz, :]).max())
-                                  > _OVERFLOW_LIMIT):
-                    M = M.astype(object)
-                    col = col.astype(object)
-                    exact = True
-                M[rows, :] -= np.outer(col[rows] * p, M[r, :])
-            M[r, :] = 0
+            del cols[j]
+            p = col.pop(r)
+            for s in col:
+                at_row[s].discard(j)
+            for k in at_row.pop(r) - {j}:
+                other = cols[k]
+                f = other.pop(r) * p
+                for s, c in col.items():
+                    v = other.get(s, 0) - f * c
+                    if v:
+                        other[s] = v
+                        at_row[s].add(k)
+                    else:
+                        del other[s]
+                        at_row[s].discard(k)
             ones += 1
-            progress = True
-        pending = next_pending
-    live_rows = np.flatnonzero((M != 0).any(axis=1))
-    live_cols = np.flatnonzero((M != 0).any(axis=0))
-    if live_rows.size == 0 or live_cols.size == 0:
-        return ones, [1] * ones
-    residual = [[int(M[i, j]) for j in live_cols] for i in live_rows]
-    rest = smith(residual)[0]
+    live = [col for col in cols.values() if col]
+    rows = sorted({r for col in live for r in col})
+    rest = smith([[col.get(r, 0) for col in live] for r in rows])[0]
     return ones + len(rest), [1] * ones + rest
 
 

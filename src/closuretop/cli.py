@@ -55,6 +55,13 @@ def _parse_interval(text: str) -> IntervalSpec:
     raise ParseError(f"unknown interval {text!r}")
 
 
+def _nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {n}")
+    return n
+
+
 def _load_filtration(args):
     if getattr(args, "metric", None):
         with open(args.metric, "r", encoding="utf-8") as fh:
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", default="j1-times",
                    help="j1-times, j1-box, jplus-times, jplus-box, "
                         "simplicial-j1, simplicial-jplus")
-    p.add_argument("--max-dim", type=int, default=1)
+    p.add_argument("--max-dim", type=_nonnegative, default=1)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--cap", type=int, default=None,
                    help="override the shape-dimension cap")
@@ -287,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[d.value for d in Decoration])
     p.add_argument("--pseudo", action="store_true",
                    help="allow zero distances between distinct points")
-    p.add_argument("--max-dim", type=int, default=1)
+    p.add_argument("--max-dim", type=_nonnegative, default=1)
     p.add_argument("--out", help="prefix for per-degree diagram files")
     p.add_argument("--plot", help="write an SVG scatter to this path")
     _add_common(p, coeffs_default="f2")

@@ -167,14 +167,13 @@ class ChainComplex:
 
     __slots__ = ("basis", "index", "boundaries", "top")
 
-    def __init__(self, basis, boundaries, top, check: bool = True):
+    def __init__(self, basis, boundaries, top):
         self.basis = basis
         self.index = {d: {b: i for i, b in enumerate(bs)}
                       for d, bs in basis.items()}
         self.boundaries = boundaries
         self.top = top
-        if check:
-            self._check_squares()
+        self._check_squares()
 
     def _check_squares(self):
         for d in range(2, self.top + 1):

@@ -15,23 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .errors import BoundExceeded, CapExceeded, SourceTargetMismatch
+from .errors import (BadParameter, BoundExceeded, CapExceeded,
+                     SourceTargetMismatch)
 from .spaces import (
     ContinuousMap,
     FiniteClosureSpace,
     IntervalSpec,
     ProductKind,
+    bits,
     closure_masks,
     homomorphisms,
     interval,
     is_continuous,
-    mask_matrix,
     neighbour_lists,
     point_space,
     product,
-    relation_masks,
 )
 
 
@@ -46,7 +44,7 @@ class HomotopyQuery:
 
     def __post_init__(self):
         if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+            raise BadParameter("max_steps must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -102,13 +100,14 @@ class MapGraph:
     A one-step homotopy is a homomorphism of J's relation into the
     relation E on maps, where E[u, v] says that h_i = u and h_j = v meet
     the continuity of H on X (x) J along an edge i -> j of J.
-    A[u, v] is True iff such a homomorphism has h_0 = u and h_m = v.
+    Bit v of adjacency[u] is set iff such a homomorphism has h_0 = u and
+    h_m = v; bit u of the column mask _columns[v] says the same.
 
     For each homomorphism mu of the middle slots 1..m-1 into E, slot 0
     can take every map in L(mu), those that meet the edges between 0 and
-    the middle, and slot m every map in R(mu), likewise.  A is the union
-    of the blocks L(mu) x R(mu), cut by E for an edge 0 -> m and by the
-    transpose of E for an edge m -> 0.
+    the middle, and slot m every map in R(mu), likewise.  The adjacency
+    is the union of the blocks L(mu) x R(mu), cut by E for an edge
+    0 -> m and by the transpose of E for an edge m -> 0.
     """
 
     def __init__(self, X: FiniteClosureSpace, Y: FiniteClosureSpace,
@@ -117,20 +116,39 @@ class MapGraph:
         self._j_relation = neighbour_lists(interval(J))
         self.maps = enumerate_continuous_maps(X, Y)
         self.index = {t: i for i, t in enumerate(self.maps)}
-        self._edge = self._edge_matrix()
-        self._edge_masks = relation_masks(self._edge)
-        self.adjacency = self._adjacency()
+        self._edge_masks = self._edge_relation()
+        self.adjacency, self._columns = self._adjacency()
 
-    def _edge_matrix(self):
-        """E[u, v]: the condition along a J-edge i -> j with h_i = u, h_j = v."""
-        n, ny = len(self.maps), len(self.Y.points)
-        F = np.array(self.maps, dtype=np.int64).reshape(n, len(self.X.points))
-        R = mask_matrix(closure_masks(self.Y)[0], ny)
-        E = np.ones((n, n), dtype=bool)
-        for ix, near in enumerate(neighbour_lists(self.X)):
-            for jx in (near if self.kind is ProductKind.PRODUCT else [ix]):
-                E &= R[F[:, ix]][:, F[:, jx]]
-        return E
+    def _edge_relation(self):
+        """Row and column masks of E: E[u, v] iff v(x') is in the closure
+        of u(x) for every edge x -> x' of X under PRODUCT, and for x' = x
+        only under INDUCTIVE."""
+        out_y, in_y = closure_masks(self.Y)
+        # at[x][p]: the maps sending x to p
+        at = [[0] * len(out_y) for _ in self.X.points]
+        for k, t in enumerate(self.maps):
+            for x, p in enumerate(t):
+                at[x][p] |= 1 << k
+
+        def sending_into(rel):
+            # [x][p]: the maps sending x into rel[p]; the masks summed are
+            # disjoint, so the sum is their union
+            return [[sum(row[q] for q in bits(mask)) for mask in rel]
+                    for row in at]
+
+        into_closure, into_base = sending_into(out_y), sending_into(in_y)
+        edges = [(x, x2) for x, nbrs in enumerate(neighbour_lists(self.X))
+                 for x2 in (nbrs if self.kind is ProductKind.PRODUCT else [x])]
+        full = (1 << len(self.maps)) - 1
+        rows, cols = [], []
+        for t in self.maps:
+            row = col = full
+            for x, x2 in edges:
+                row &= into_closure[x2][t[x]]
+                col &= into_base[x][t[x2]]
+            rows.append(row)
+            cols.append(col)
+        return rows, cols
 
     def _adjacency(self):
         J, m, n = self._j_relation, self.J.m, len(self.maps)
@@ -152,21 +170,22 @@ class MapGraph:
                 hi &= masks[mu[s]]
             if lo and hi:
                 blocks[lo] = blocks.get(lo, 0) | hi
-        rows = [0] * n
+        rows, cols = [0] * n, [0] * n
         for lo, hi in blocks.items():
-            while lo:
-                low = lo & -lo
-                rows[low.bit_length() - 1] |= hi
-                lo ^= low
-        A = mask_matrix(rows, n)
+            for u in bits(lo):
+                rows[u] |= hi
+            for v in bits(hi):
+                cols[v] |= lo
         if m in J[0]:
-            A &= self._edge
+            rows = [a & b for a, b in zip(rows, out)]
+            cols = [a & b for a, b in zip(cols, inn)]
         if 0 in J[m]:
-            A &= self._edge.T
-        return A
+            rows = [a & b for a, b in zip(rows, inn)]
+            cols = [a & b for a, b in zip(cols, out)]
+        return rows, cols
 
     def one_step(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u, v])
+        return bool(self.adjacency[u] >> v & 1)
 
     def find_chain(self, u: int, v: int, max_steps: int):
         """BFS along one-step edges taken in both orientations.
@@ -177,8 +196,9 @@ class MapGraph:
         """
         if u == v:
             return [u]
-        sym = self.adjacency | self.adjacency.T
+        rows, cols = self.adjacency, self._columns
         parent = {u: None}
+        seen = 1 << u
         frontier = [u]
         depth = 0
         while frontier:
@@ -188,16 +208,16 @@ class MapGraph:
             depth += 1
             nxt = []
             for a in frontier:
-                for b in np.flatnonzero(sym[a]):
-                    b = int(b)
-                    if b not in parent:
-                        parent[b] = a
-                        if b == v:
-                            chain = [b]
-                            while chain[-1] != u:
-                                chain.append(parent[chain[-1]])
-                            return chain[::-1]
-                        nxt.append(b)
+                new = (rows[a] | cols[a]) & ~seen
+                if new >> v & 1:
+                    chain = [v, a]
+                    while chain[-1] != u:
+                        chain.append(parent[chain[-1]])
+                    return chain[::-1]
+                seen |= new
+                for b in bits(new):
+                    parent[b] = a
+                    nxt.append(b)
             frontier = nxt
         return None
 
@@ -246,11 +266,27 @@ def one_step_homotopic(f: ContinuousMap, g: ContinuousMap, J: IntervalSpec,
 
 
 def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
-    """Recover an explicit tuple (h_0, ..., h_m) for a known one-step edge."""
+    """Recover an explicit tuple (h_0, ..., h_m) for a known one-step edge
+    from u to v, or else from v to u."""
+    forward = graph.one_step(u, v)
+    ends = {0: u, graph.J.m: v} if forward else {0: v, graph.J.m: u}
     slots = next(homomorphisms(graph._j_relation, graph._edge_masks,
-                               fixed={0: u, graph.J.m: v}))
+                               fixed=ends))
     maps = tuple(_as_mapping(graph.X, graph.Y, graph.maps[s]) for s in slots)
-    return OneStepWitness(maps=maps, forward=True)
+    return OneStepWitness(maps=maps, forward=forward)
+
+
+def _check_size(query: HomotopyQuery, X, Y):
+    if len(X.points) > query.size_cap or len(Y.points) > query.size_cap:
+        raise CapExceeded(
+            f"spaces exceed the size cap {query.size_cap}; raise size_cap to override")
+
+
+def _witness(graph: MapGraph, chain) -> HomotopyWitness:
+    """The stages of an index chain and a one-step witness per link."""
+    stages = [_as_mapping(graph.X, graph.Y, graph.maps[i]) for i in chain]
+    steps = [_extract_one_step(graph, a, b) for a, b in zip(chain, chain[1:])]
+    return HomotopyWitness(stages=stages, steps=steps)
 
 
 def homotopic(f: ContinuousMap, g: ContinuousMap,
@@ -262,24 +298,12 @@ def homotopic(f: ContinuousMap, g: ContinuousMap,
     """
     _require_parallel(f, g)
     X, Y = f.source, f.target
-    if len(X.points) > query.size_cap or len(Y.points) > query.size_cap:
-        raise CapExceeded(
-            f"spaces exceed the size cap {query.size_cap}; raise size_cap to override")
+    _check_size(query, X, Y)
     graph = MapGraph(X, Y, query.interval, query.product)
     u = graph.index[_as_tuple(X, Y, f.mapping)]
     v = graph.index[_as_tuple(X, Y, g.mapping)]
     chain = graph.find_chain(u, v, query.max_steps)
-    if chain is None:
-        return None
-    stages = [_as_mapping(X, Y, graph.maps[i]) for i in chain]
-    steps = []
-    for a, b in zip(chain, chain[1:]):
-        if graph.one_step(a, b):
-            steps.append(_extract_one_step(graph, a, b))
-        else:
-            back = _extract_one_step(graph, b, a)
-            steps.append(OneStepWitness(maps=back.maps, forward=False))
-    return HomotopyWitness(stages=stages, steps=steps)
+    return None if chain is None else _witness(graph, chain)
 
 
 def homotopy_equivalent(X: FiniteClosureSpace, Y: FiniteClosureSpace,
@@ -288,41 +312,34 @@ def homotopy_equivalent(X: FiniteClosureSpace, Y: FiniteClosureSpace,
     homotopic to the identities.  Returns (f, g, witness_X, witness_Y)
     or None; raises BoundExceeded when absence could not be proven.
     """
-    if len(X.points) > query.size_cap or len(Y.points) > query.size_cap:
-        raise CapExceeded(
-            f"spaces exceed the size cap {query.size_cap}; raise size_cap to override")
+    _check_size(query, X, Y)
     graph_x = MapGraph(X, X, query.interval, query.product)
     graph_y = MapGraph(Y, Y, query.interval, query.product)
-    id_x = graph_x.index[_as_tuple(X, X, {x: x for x in X.points})]
-    id_y = graph_y.index[_as_tuple(Y, Y, {y: y for y in Y.points})]
-    fwd = enumerate_continuous_maps(X, Y)
-    bwd = enumerate_continuous_maps(Y, X)
-    xi = {x: i for i, x in enumerate(X.points)}
-    yi = {y: i for i, y in enumerate(Y.points)}
     bounded = False
-    for ft in fwd:
+
+    def to_identity(graph, t):
+        # the chain from the map t to the identity; None when there is none
+        # or the budget ran out first
+        nonlocal bounded
+        identity = graph.index[tuple(range(len(t)))]
+        try:
+            return graph.find_chain(graph.index[t], identity, query.max_steps)
+        except BoundExceeded:
+            bounded = True
+            return None
+
+    bwd = enumerate_continuous_maps(Y, X)
+    for ft in enumerate_continuous_maps(X, Y):
         for gt in bwd:
-            gf = tuple(gt[ft[xi[x]]] for x in X.points)
-            fg = tuple(ft[gt[yi[y]]] for y in Y.points)
-            try:
-                chain_x = graph_x.find_chain(graph_x.index[gf], id_x, query.max_steps)
-            except BoundExceeded:
-                bounded = True
-                continue
+            chain_x = to_identity(graph_x, tuple(gt[i] for i in ft))
             if chain_x is None:
                 continue
-            try:
-                chain_y = graph_y.find_chain(graph_y.index[fg], id_y, query.max_steps)
-            except BoundExceeded:
-                bounded = True
-                continue
+            chain_y = to_identity(graph_y, tuple(ft[i] for i in gt))
             if chain_y is None:
                 continue
             f = ContinuousMap(X, Y, _as_mapping(X, Y, ft), check=False)
             g = ContinuousMap(Y, X, _as_mapping(Y, X, gt), check=False)
-            wit_x = homotopic(g.compose(f), ContinuousMap.identity(X), query)
-            wit_y = homotopic(f.compose(g), ContinuousMap.identity(Y), query)
-            return f, g, wit_x, wit_y
+            return f, g, _witness(graph_x, chain_x), _witness(graph_y, chain_y)
     if bounded:
         raise BoundExceeded("search budget exhausted before proving absence")
     return None

@@ -130,6 +130,8 @@ def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
     """
     if construction not in ("vr", "cech"):
         raise BadParameter(f"unknown construction {construction!r}")
+    if max_dim < 0:
+        raise BadParameter("max_dim must be nonnegative")
     points = sorted(F.points, key=repr)
     at = {x: i for i, x in enumerate(points)}
     # rows[i][j]: first stage index with points[j] in the closure of points[i]

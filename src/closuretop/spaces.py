@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     BadParameter,
     MissingPoint,
@@ -149,7 +147,7 @@ def neighbour_lists(X: FiniteClosureSpace):
 
 
 def closure_masks(X: FiniteClosureSpace):
-    """The target form of homomorphisms for X's relation (see relation_masks)."""
+    """The target form of homomorphisms for X's relation: (out, in) masks."""
     idx = {x: i for i, x in enumerate(X.points)}
     out, inn = [0] * len(idx), [0] * len(idx)
     for i, x in enumerate(X.points):
@@ -159,33 +157,20 @@ def closure_masks(X: FiniteClosureSpace):
     return out, inn
 
 
-def _row_masks(R: np.ndarray):
-    """One int per row of a boolean matrix, bit j set iff R[i, j]."""
-    nbytes = (R.shape[1] + 7) // 8
-    data = np.packbits(R, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(R.shape[0])]
-
-
-def relation_masks(R: np.ndarray):
-    """The target form of homomorphisms: row masks of R and of its transpose."""
-    return _row_masks(R), _row_masks(np.ascontiguousarray(R.T))
-
-
-def mask_matrix(rows, n: int) -> np.ndarray:
-    """Boolean n x n matrix from row masks, the inverse of one half of relation_masks."""
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                           dtype=np.uint8).reshape(n, nbytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+def bits(mask: int):
+    """Yield the indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def homomorphisms(src, tgt, fixed=None):
     """Yield every homomorphism of the relation src into the relation tgt.
 
-    src[a] lists the out-neighbours of vertex a of the source; tgt is the
-    pair (out, in) of closure_masks or relation_masks, where bit q of
-    out[p] says p -> q and bit p of in[q] says the same.  A homomorphism h is a tuple of
+    src[a] lists the out-neighbours of vertex a of the source; tgt is a
+    pair (out, in) of int masks such as closure_masks gives, where bit q
+    of out[p] says p -> q and bit p of in[q] says the same.  A homomorphism h is a tuple of
     target indices, one per source vertex, with h[a] -> h[b] for every
     edge a -> b.  fixed pins some vertices to given targets.
 

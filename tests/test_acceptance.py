@@ -120,8 +120,9 @@ def test_c06_homotopy_invariance():
         X = rand_space(rng, rng.randint(2, 5), prefix="x")
         Y = rand_space(rng, rng.randint(2, 5), prefix="y")
         graph = MapGraph(X, Y, J, kind)
-        pairs = np.argwhere(graph.adjacency)
-        pairs = [tuple(p) for p in pairs if p[0] != p[1]]
+        n = len(graph.maps)
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and graph.one_step(u, v)]
         if not pairs:
             continue
         u, v = pairs[rng.randrange(len(pairs))]
@@ -264,7 +265,6 @@ def test_c11_gh_stability():
 def _partition(X, Y, J, kind):
     graph = MapGraph(X, Y, J, kind)
     n = len(graph.maps)
-    sym = graph.adjacency | graph.adjacency.T
     seen = [False] * n
     blocks = set()
     for s in range(n):
@@ -277,7 +277,8 @@ def _partition(X, Y, J, kind):
             a = stack.pop()
             comp.append(graph.maps[a])
             for b in range(n):
-                if sym[a, b] and not seen[b]:
+                if not seen[b] and (graph.one_step(a, b)
+                                    or graph.one_step(b, a)):
                     seen[b] = True
                     stack.append(b)
         blocks.add(frozenset(comp))

@@ -121,6 +121,20 @@ def test_homotopic_command(tmp_path, capsys):
     assert "not homotopic" in capsys.readouterr().out
 
 
+def test_bad_budgets_are_reported(space_path, square_path, tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text('{"a": "a", "b": "a", "c": "a"}')
+    assert main(["homotopic", space_path, space_path, str(f), str(f),
+                 "--max-steps", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: max_steps")
+    for argv in (["homology", space_path, "--max-dim", "-1"],
+                 ["persist", "--metric", square_path, "--max-dim", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--max-dim: must be nonnegative" in capsys.readouterr().err
+
+
 def test_vr_and_cech_commands(space_path, capsys):
     assert main(["vr", space_path]) == 0
     vr_out = capsys.readouterr().out

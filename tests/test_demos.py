@@ -1,7 +1,8 @@
-"""The package and every demo run with networkx unavailable.
+"""The package and every demo run with networkx and numpy unavailable.
 
-networkx is a test dependency only; each child process blocks its
-import before anything else runs, so a runtime use of it fails here.
+networkx and numpy are test dependencies only; each child process
+blocks their import before anything else runs, so a runtime use of
+either fails here.
 """
 import os
 import pathlib
@@ -11,14 +12,15 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-BLOCK_NETWORKX = 'import sys; sys.modules["networkx"] = None; '
+BLOCK = ('import sys; sys.modules["networkx"] = None; '
+         'sys.modules["numpy"] = None; ')
 
 
 def _run_blocked(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", BLOCK_NETWORKX + code],
+    return subprocess.run([sys.executable, "-c", BLOCK + code],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
 

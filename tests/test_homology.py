@@ -568,9 +568,9 @@ def test_homotopy_invariance_sample():
         Y = rand_space(rng, rng.randint(2, 4), prefix="y")
         th, J, kind = rng.choice(theories)
         graph = MapGraph(X, Y, J, kind)
-        import numpy as np
-        pairs = np.argwhere(graph.adjacency)
-        pairs = [tuple(p) for p in pairs if p[0] != p[1]]
+        n = len(graph.maps)
+        pairs = [(u, v) for u in range(n) for v in range(n)
+                 if u != v and graph.one_step(u, v)]
         if not pairs:
             continue
         u, v = pairs[rng.randrange(len(pairs))]

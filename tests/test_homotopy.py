@@ -77,6 +77,33 @@ def test_one_step_against_literal_oracle():
         checked += 1
 
 
+def test_map_graph_edges_against_literal_oracle():
+    """Every ordered pair of maps: one_step against the literal oracle,
+    and the search's first ring around u against one-step edges either way."""
+    rng = random.Random(29)
+    intervals = [j1(), j_plus(), j_minus(), j_bot(1), j_plain(2), j_top(2),
+                 j_leq(2), j_bits(2, 1), j_plain(3), j_leq(3), j_bits(3, 5)]
+    for J in intervals:
+        X = rand_space(rng, 2, prefix="x")
+        Y = rand_space(rng, rng.randint(2, 3), prefix="y")
+        for kind in ProductKind:
+            graph = MapGraph(X, Y, J, kind)
+            maps = [ContinuousMap(X, Y, {x: Y.points[i] for x, i in
+                                         zip(X.points, t)}, check=False)
+                    for t in graph.maps]
+            n = len(maps)
+            edge = [[graph.one_step(u, v) for v in range(n)] for u in range(n)]
+            for u, v in itertools.product(range(n), repeat=2):
+                assert edge[u][v] == _one_step_oracle(maps[u], maps[v], J, kind)
+                if u == v:
+                    continue
+                try:
+                    near = graph.find_chain(u, v, 1) is not None
+                except BoundExceeded:
+                    near = False
+                assert near == (edge[u][v] or edge[v][u])
+
+
 def test_j1_times_closed_form_agrees_with_generic():
     rng = random.Random(31)
     for _ in range(30):

@@ -69,6 +69,10 @@ def test_filtered_simplices_first_appearance():
     assert sims == [(0, ("a",)), (0, ("b",)), (3, ("a", "b"))]
     with pytest.raises(BadParameter):
         filtered_simplices(F, "alpha")
+    with pytest.raises(BadParameter):
+        filtered_simplices(F, "vr", -1)
+    with pytest.raises(BadParameter):
+        persistence_complex(F, "cech", max_dim=-1)
 
 
 def _stage_by_stage_simplices(F, construction, max_dim):
