@@ -22,8 +22,8 @@ from .filtrations import (Decoration, filtered_from_metric,
 from .homology import (homology, parse_coefficients, parse_theory,
                        singular_chain_complex)
 from .homotopy import HomotopyQuery, homotopic
-from .persistence import (bottleneck, diagram_to_json, gh_distance,
-                          load_diagram, persistence_complex)
+from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
+                          gh_distance, load_diagram, persistence_complex)
 from .spaces import (ContinuousMap, IntervalSpec, IntervalFamily, ProductKind,
                      load_space)
 
@@ -62,15 +62,21 @@ def _nonnegative(text: str) -> int:
     return n
 
 
-def _load_filtration(args):
-    if getattr(args, "metric", None):
-        with open(args.metric, "r", encoding="utf-8") as fh:
-            M = metric_from_csv(fh.read(), pseudo=args.pseudo)
+def _read_filtration(args, path, metric):
+    """The filtration of one metric CSV (metric true) or weighted digraph file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if metric:
+        M = metric_from_csv(text, pseudo=args.pseudo)
         return filtered_from_metric(M, Decoration(args.decoration))
-    if getattr(args, "digraph", None):
-        with open(args.digraph, "r", encoding="utf-8") as fh:
-            return filtered_from_weighted_digraph(digraph_from_text(fh.read()))
-    if getattr(args, "space", None) and getattr(args, "sublevel", None):
+    return filtered_from_weighted_digraph(digraph_from_text(text))
+
+
+def _load_filtration(args):
+    if args.metric or args.digraph:
+        return _read_filtration(args, args.metric or args.digraph,
+                                bool(args.metric))
+    if args.space and args.sublevel:
         X = load_space(args.space)
         with open(args.sublevel, "r", encoding="utf-8") as fh:
             f = sublevel_from_csv(fh.read())
@@ -180,24 +186,11 @@ def cmd_bottleneck(args) -> int:
 
 
 def cmd_gh(args) -> int:
-    filt = []
-    if args.metric:
-        if len(args.metric) != 2:
-            raise ParseError("gh --metric needs exactly two files")
-        for path in args.metric:
-            with open(path, "r", encoding="utf-8") as fh:
-                M = metric_from_csv(fh.read(), pseudo=args.pseudo)
-            filt.append(filtered_from_metric(M, Decoration(args.decoration)))
-    elif args.digraph:
-        if len(args.digraph) != 2:
-            raise ParseError("gh --digraph needs exactly two files")
-        for path in args.digraph:
-            with open(path, "r", encoding="utf-8") as fh:
-                filt.append(filtered_from_weighted_digraph(
-                    digraph_from_text(fh.read())))
-    else:
+    if not (args.metric or args.digraph):
         raise ParseError("gh needs --metric or --digraph (two files)")
-    print(_fmt(gh_distance(filt[0], filt[1], cap=args.cap)))
+    FX, FY = (_read_filtration(args, path, bool(args.metric))
+              for path in args.metric or args.digraph)
+    print(_fmt(gh_distance(FX, FY, cap=args.cap)))
     return 0
 
 
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoration", default="closed",
                    choices=[d.value for d in Decoration])
     p.add_argument("--pseudo", action="store_true")
-    p.add_argument("--cap", type=int, default=4)
+    p.add_argument("--cap", type=int, default=DEFAULT_GH_CAP)
     p.set_defaults(func=cmd_gh)
 
     p = sub.add_parser("homotopic", help="search for a homotopy between two maps")

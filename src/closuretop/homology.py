@@ -104,32 +104,22 @@ def cube_degenerate(values, n) -> bool:
                for i in range(1, n + 1))
 
 
-def _interval_relation(interval):
-    # rel[a][b] means b lies in the closure of a on the two-point interval
-    if interval == "j1":
-        return ((True, True), (True, True))
-    return ((True, True), (False, True))
-
-
 def _cube_vertex_relation(interval, kind, n):
-    """Adjacency rel[u] = vertices in the closure of u on the n-cube."""
-    base = _interval_relation(interval)
+    """rel[u] lists, in increasing order, the vertices in the closure of u.
+
+    j1 relates both ways and jplus only 0 to 1, so the product relates u
+    to every vertex, or under jplus to the supersets of its bits; the box
+    product to u and each vertex one flip away, under jplus a 0 -> 1 flip.
+    """
     size = 1 << n
-    rel = []
-    for u in range(size):
-        row = []
-        for v in range(size):
-            if kind is ProductKind.PRODUCT:
-                ok = all(base[(u >> b) & 1][(v >> b) & 1] for b in range(n))
-            else:
-                diff = u ^ v
-                ok = diff == 0 or (diff & (diff - 1) == 0 and
-                                   base[(u >> diff.bit_length() - 1) & 1]
-                                       [(v >> diff.bit_length() - 1) & 1])
-            if ok:
-                row.append(v)
-        rel.append(row)
-    return rel
+    if kind is ProductKind.PRODUCT:
+        if interval == "j1":
+            every = list(range(size))
+            return [every] * size
+        return [[v for v in range(u, size) if v & u == u] for u in range(size)]
+    return [sorted([u] + [u ^ (1 << b) for b in range(n)
+                          if interval == "j1" or not u >> b & 1])
+            for u in range(size)]
 
 
 def _maps_into(X: FiniteClosureSpace, src):

@@ -269,9 +269,9 @@ def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
     """Recover an explicit tuple (h_0, ..., h_m) for a known one-step edge
     from u to v, or else from v to u."""
     forward = graph.one_step(u, v)
-    ends = {0: u, graph.J.m: v} if forward else {0: v, graph.J.m: u}
+    a, b = (u, v) if forward else (v, u)
     slots = next(homomorphisms(graph._j_relation, graph._edge_masks,
-                               fixed=ends))
+                               {0: 1 << a, graph.J.m: 1 << b}))
     maps = tuple(_as_mapping(graph.X, graph.Y, graph.maps[s]) for s in slots)
     return OneStepWitness(maps=maps, forward=forward)
 

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from ._linalg import FieldReducer, PrimeField, RationalField
 from .complexes import cech, cliques, vr
@@ -23,8 +23,10 @@ from .filtrations import FilteredClosureSpace
 from .homology import (Theory, complex_chain_complex, homology_basis,
                        induced_map_between, parse_coefficients,
                        singular_chain_complex)
+from .spaces import homomorphisms
 
 INF = math.inf
+DEFAULT_GH_CAP = 6
 
 
 def _field_from_spec(coefficients):
@@ -69,9 +71,12 @@ def _num_out(v):
 
 
 def _num_in(v):
-    if isinstance(v, (int, float)):
-        return Fraction(repr(float(v))) if isinstance(v, float) else Fraction(v)
-    raise ParseError(f"not a number: {v!r}")
+    # JSON true is an int to Python, and Infinity and NaN are floats
+    if isinstance(v, float) and math.isfinite(v):
+        return Fraction(repr(v))
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    raise ParseError(f"not a finite number: {v!r}")
 
 
 def diagram_to_json(D: PersistenceDiagram) -> str:
@@ -88,8 +93,10 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
     if not isinstance(obj, dict) or "degree" not in obj or "pairs" not in obj:
         raise ParseError("diagram JSON needs 'degree' and 'pairs'")
     degree = obj["degree"]
-    if not isinstance(degree, int) or degree < 0:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
         raise ParseError("degree must be a nonnegative integer")
+    if not isinstance(obj["pairs"], list):
+        raise ParseError("'pairs' must be a list")
     pairs = []
     for item in obj["pairs"]:
         if not isinstance(item, list) or len(item) != 2:
@@ -392,6 +399,19 @@ def _bipartite_feasible(dist, half1, half2, eps):
     return True
 
 
+def _least_feasible(cands, feasible):
+    """The least of the sorted candidates passing feasible, by bisection;
+    feasibility must hold at the largest and persist upward."""
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo]
+
+
 def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
     """Bottleneck distance between two diagrams of the same degree.
 
@@ -423,14 +443,9 @@ def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
     dist = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in bars2]
             for b, d in bars1]
     cands = sorted({0, *half1, *half2, *(x for row in dist for x in row)})
-    lo, hi = 0, len(cands) - 1  # the largest candidate is always feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _bipartite_feasible(dist, half1, half2, cands[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return max(inf_cost, Fraction(cands[lo], scale))
+    least = _least_feasible(
+        cands, lambda eps: _bipartite_feasible(dist, half1, half2, eps))
+    return max(inf_cost, Fraction(least, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +502,16 @@ def distortion(C, FX: FilteredClosureSpace, FY: FilteredClosureSpace):
 
 
 def gh_distance(FX: FilteredClosureSpace, FY: FilteredClosureSpace,
-                cap: int = 4):
+                cap: int = DEFAULT_GH_CAP):
     """Half the minimum distortion over all correspondences.
 
-    Exhaustive search with branch-and-bound over the per-point choice
-    of image subsets; capped because the candidate count is exponential.
+    Every correspondence contains the graph of a map X -> Y and the
+    transposed graph of a map Y -> X, whose union is a correspondence of
+    no larger distortion (Kalton and Ostrovskii, 1999).  So distortion
+    eps is feasible iff each x can take a pair (x, .) and each y a pair
+    (., y) with all pairs taken, each with itself too, eps-compatible
+    both ways.  The least feasible pair term is found by bisection; the
+    problem is NP-hard, hence the cap.
     """
     X = list(FX.points)
     Y = list(FY.points)
@@ -500,39 +520,26 @@ def gh_distance(FX: FilteredClosureSpace, FY: FilteredClosureSpace,
     if not X or not Y:
         return 0 if not X and not Y else INF
     nx, ny = len(X), len(Y)
-    pair_ids = [(i, j) for i in range(nx) for j in range(ny)]
-    W = {}
-    for p in pair_ids:
-        for q in pair_ids:
-            W[(p, q)] = _pair_term(FX, FY,
-                                   (X[p[0]], X[q[0]]), (Y[p[1]], Y[q[1]]))
-    subsets = [s for s in range(1, 1 << ny)]
-    best = [INF]
-    full = (1 << ny) - 1
+    pairs = [(x, y) for x in X for y in Y]  # (X[i], Y[j]) at i * ny + j
+    terms = [[max(_pair_term(FX, FY, (x, x2), (y, y2)),
+                  _pair_term(FX, FY, (x2, x), (y2, y)))
+              for x2, y2 in pairs] for x, y in pairs]
+    rows = [((1 << ny) - 1) << i * ny for i in range(nx)]
+    cols = [sum(1 << i * ny + j for i in range(nx)) for j in range(ny)]
+    # x_0, y_0, x_1, y_1, ...: interleaved, the search prunes sooner
+    domains = dict(enumerate(m for both in zip_longest(rows, cols)
+                             for m in both if m is not None))
+    # every pair of variables once, loops included; compatibility is symmetric
+    src = [list(range(a, nx + ny)) for a in range(nx + ny)]
 
-    def extend(i, chosen, covered, cur):
-        if cur >= best[0]:
-            return
-        if i == nx:
-            if covered == full:
-                best[0] = cur
-            return
-        for s in subsets:
-            new = [(i, j) for j in range(ny) if s >> j & 1]
-            m = cur
-            for p in new:
-                for q in chosen + new:
-                    m = max(m, W[(p, q)], W[(q, p)])
-                    if m >= best[0]:
-                        break
-                else:
-                    continue
-                break
-            if m < best[0]:
-                extend(i + 1, chosen + new, covered | s, m)
+    def feasible(eps):
+        compatible = [sum(1 << q for q, t in enumerate(row) if t <= eps)
+                      for row in terms]
+        return next(homomorphisms(src, (compatible, compatible), domains),
+                    None) is not None
 
-    extend(0, [], 0, 0)
-    return best[0] if best[0] == INF else best[0] / Fraction(2)
+    cands = sorted({t for row in terms for t in row})
+    return _least_feasible(cands, feasible) / Fraction(2)
 
 
 # ---------------------------------------------------------------------------

@@ -165,36 +165,39 @@ def bits(mask: int):
         mask ^= low
 
 
-def homomorphisms(src, tgt, fixed=None):
+def homomorphisms(src, tgt, domains=None):
     """Yield every homomorphism of the relation src into the relation tgt.
 
     src[a] lists the out-neighbours of vertex a of the source; tgt is a
     pair (out, in) of int masks such as closure_masks gives, where bit q
     of out[p] says p -> q and bit p of in[q] says the same.  A homomorphism h is a tuple of
     target indices, one per source vertex, with h[a] -> h[b] for every
-    edge a -> b.  fixed pins some vertices to given targets.
+    edge a -> b.  domains maps some vertices to masks of the targets
+    they may take; a one-bit mask pins a vertex.
 
-    Pinned vertices are assigned first, then the others in index order;
-    a vertex's candidates are the AND of the masks of its assigned
-    neighbours, tried lowest bit first, so the tuples come out in
-    lexicographic order.  The search keeps an explicit stack.
+    Vertices with a domain are assigned first, then the others, each in
+    index order; a vertex's candidates are the AND of its domain and the
+    masks of its assigned neighbours, tried lowest bit first, so the
+    tuples come out in lexicographic order of that assignment order.
+    The search keeps an explicit stack.
     """
     out, inn = tgt
     n = len(src)
-    fixed = fixed or {}
-    order = sorted(fixed) + [w for w in range(n) if w not in fixed]
+    domains = domains or {}
+    order = sorted(domains) + [w for w in range(n) if w not in domains]
     pos = {w: i for i, w in enumerate(order)}
-    start = [(1 << fixed[w]) if w in fixed else (1 << len(out)) - 1
-             for w in order]
+    start = [domains.get(w, (1 << len(out)) - 1) for w in order]
     loops = 0
-    if any(a in src[a] for a in range(n) if a not in fixed):
+    if any(a in src[a] for a in range(n) if a not in domains):
         loops = sum(1 << p for p, mask in enumerate(out) if mask >> p & 1)
     # constraints on the i-th assigned vertex from neighbours assigned before it
     cons = [[] for _ in order]
     for a in range(n):
         for b in src[a]:
-            if a == b:
-                start[pos[a]] &= out[fixed[a]] if a in fixed else loops
+            if a == b:  # h[a] needs a loop; a domain is filtered bit by bit
+                i = pos[a]
+                start[i] = (start[i] & loops if a not in domains else
+                            sum(1 << p for p in bits(start[i]) if out[p] >> p & 1))
             elif pos[a] < pos[b]:
                 cons[pos[b]].append((a, out))
             else:

@@ -251,8 +251,8 @@ def test_c10_sublevel_stability():
 def test_c11_gh_stability():
     rng = random.Random(233)
     for _ in range(50):
-        MX = rand_metric(rng, rng.randint(2, 4))
-        MY = rand_metric(rng, rng.randint(2, 4))
+        MX = rand_metric(rng, rng.randint(2, 6))
+        MY = rand_metric(rng, rng.randint(2, 6))
         FX = filtered_from_metric(MX)
         FY = filtered_from_metric(MY)
         gh = gh_distance(FX, FY)

@@ -100,6 +100,20 @@ def test_bottleneck_and_gh(square_path, tmp_path, capsys):
     assert capsys.readouterr().out == "1.500000000\n"
 
 
+def test_bottleneck_rejects_malformed_diagrams(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text('{"degree": 0, "pairs": [[0, 1]]}')
+    for text in ('{"degree": 0, "pairs": [[0, Infinity]]}',
+                 '{"degree": 0, "pairs": [[NaN, 1]]}',
+                 '{"degree": 0, "pairs": [[true, 1]]}',
+                 '{"degree": true, "pairs": [[0, 1]]}',
+                 '{"degree": 0, "pairs": 5}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["bottleneck", str(bad), str(good)]) == 2, text
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_homotopic_command(tmp_path, capsys):
     X = build_space([0, 1], {0: {0, 1}, 1: {0, 1}})
     sp = tmp_path / "j1.json"
@@ -158,7 +172,7 @@ def test_exit_codes(tmp_path, space_path, capsys):
     pt.write_text(space_to_json(build_space(["p"], {"p": {"p"}})))
     assert main(["homology", str(pt), "--max-dim", "9", "--cap", "11"]) == 0
     big = tmp_path / "big.csv"
-    n = 5
+    n = 7
     rows = [",".join(str(3 if i != j else 0) for j in range(n))
             for i in range(n)]
     big.write_text("\n".join(rows) + "\n")

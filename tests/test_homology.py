@@ -25,9 +25,9 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
 from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
                                 _is_prime, integer_kernel_basis,
                                 rank_and_invariants, smith)
-from closuretop.homology import (chain_map_columns, cube_degenerate, cube_face,
-                                 enumerate_cubes, enumerate_simplices,
-                                 induced_map_between)
+from closuretop.homology import (_cube_vertex_relation, chain_map_columns,
+                                 cube_degenerate, cube_face, enumerate_cubes,
+                                 enumerate_simplices, induced_map_between)
 from conftest import rand_space
 
 
@@ -279,6 +279,17 @@ def test_shape_enumerators_against_brute_force():
                         if not th.normalized
                         or all(a != b for a, b in zip(t, t[1:]))]
                 assert enumerate_simplices(X, th, n) == want
+
+
+def test_cube_vertex_relation_is_the_power_closure():
+    # vertex u of the n-cube is the u-th tuple of product_power
+    for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES, CUBE_JPLUS_BOX):
+        J = interval(j1() if th.interval == "j1" else j_plus())
+        for n in range(6):
+            P = product_power(J, n, th.product)
+            at = {t: u for u, t in enumerate(P.points)}
+            want = [sorted(at[t] for t in P.closure_map[s]) for s in P.points]
+            assert _cube_vertex_relation(th.interval, th.product, n) == want
 
 
 def _literal_complex(shapes, signed_faces, degenerate, top):

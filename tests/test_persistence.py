@@ -22,7 +22,7 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         persistence_tower, singular_chain_complex,
                         tower_to_diagram, verify_interleaving, vr)
 from closuretop._linalg import PrimeField, RationalField
-from closuretop.persistence import Tower
+from closuretop.persistence import Tower, _pair_term
 from conftest import rand_metric, rand_space
 
 
@@ -583,12 +583,82 @@ def test_gh_specializes_to_metric_gh():
         assert gh_distance(FX, FX) == 0
 
 
+def _gh_branch_and_bound(FX, FY):
+    """Half the least distortion by branch-and-bound over each point's
+    nonempty image subset: exponential, an oracle for a few points.  It
+    compares the ranks of the pair terms, which is faster than comparing
+    fractions."""
+    X, Y = list(FX.points), list(FY.points)
+    nx, ny = len(X), len(Y)
+    W = {(p, q): _pair_term(FX, FY, (X[p[0]], X[q[0]]), (Y[p[1]], Y[q[1]]))
+         for p in itertools.product(range(nx), range(ny))
+         for q in itertools.product(range(nx), range(ny))}
+    values = sorted(set(W.values()))
+    rank = {v: r for r, v in enumerate(values)}
+    W = {pq: rank[v] for pq, v in W.items()}
+    best = len(values)
+
+    def extend(i, chosen, covered, cur):
+        nonlocal best
+        if cur >= best:
+            return
+        if i == nx:
+            if covered == (1 << ny) - 1:
+                best = cur
+            return
+        for s in range(1, 1 << ny):
+            new = [(i, j) for j in range(ny) if s >> j & 1]
+            m = cur
+            for p, q in itertools.product(new, chosen + new):
+                m = max(m, W[(p, q)], W[(q, p)])
+                if m >= best:
+                    break
+            if m < best:
+                extend(i + 1, chosen + new, covered | s, m)
+
+    extend(0, [], 0, 0)
+    return values[best] / Fraction(2)
+
+
+def test_gh_against_branch_and_bound():
+    """Equal value and type on metrics under every decoration, pseudo ones
+    included, weighted digraphs and sublevel filtrations.  Most digraph
+    and sublevel pairs share a relation, so that their distance is
+    finite."""
+    rng = random.Random(163)
+
+    def draw(kind, n):
+        if kind == "metric":
+            return [filtered_from_metric(
+                rand_metric(rng, n, pseudo=rng.random() < 0.3),
+                rng.choice(list(Decoration))) for _ in range(2)]
+        if kind == "sublevel":
+            X = rand_space(rng, n)
+            return [filtered_from_sublevel(
+                X, {x: Fraction(rng.randint(0, 4)) for x in X.points})
+                for _ in range(2)]
+        pts = [f"v{i}" for i in range(n)]
+        edges = [(a, b) for a in pts for b in pts
+                 if a != b and rng.random() < 0.6]
+        return [filtered_from_weighted_digraph(WeightedDigraph(
+            pts, {e: Fraction(rng.randint(1, 5)) for e in edges}))
+            for _ in range(2)]
+
+    for k in range(420):
+        kind = ("metric", "digraph", "sublevel")[k % 3]
+        FX, FY = draw(kind, rng.randint(1, 4))
+        if k % 4 == 0:
+            FY = draw(kind, rng.randint(1, 4))[0]
+        got, want = gh_distance(FX, FY), _gh_branch_and_bound(FX, FY)
+        assert got == want and type(got) is type(want)
+
+
 def test_gh_cap():
-    M = rand_metric(random.Random(3), 5)
+    M = rand_metric(random.Random(3), 7)
     F = filtered_from_metric(M)
     with pytest.raises(CapExceeded):
         gh_distance(F, F)
-    gh_distance(F, F, cap=5)
+    gh_distance(F, F, cap=7)
 
 
 # ---------------------------------------------------------------------------

@@ -307,8 +307,12 @@ def test_homomorphisms_against_brute_force():
                 if all(R[h[a]][h[b]] for a in range(n) for b in src[a])]
         assert list(homomorphisms(src, _masks(R))) == want
         if n and k:
-            fixed = {w: rng.randrange(k)
-                     for w in rng.sample(range(n), rng.randint(1, n))}
-            pinned = [h for h in want
-                      if all(h[w] == t for w, t in fixed.items())]
-            assert list(homomorphisms(src, _masks(R), fixed)) == pinned
+            # pins (one-bit masks) and wider domains, empty ones included
+            domains = {w: rng.choice([1 << rng.randrange(k),
+                                      rng.randrange(1 << k)])
+                       for w in rng.sample(range(n), rng.randint(1, n))}
+            order = sorted(domains) + [w for w in range(n) if w not in domains]
+            allowed = [h for h in want
+                       if all(m >> h[w] & 1 for w, m in domains.items())]
+            allowed.sort(key=lambda h: [h[w] for w in order])
+            assert list(homomorphisms(src, _masks(R), domains)) == allowed
