@@ -25,7 +25,7 @@ from .homotopy import HomotopyQuery, homotopic
 from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
                           gh_distance, load_diagram, persistence_complex)
 from .spaces import (ContinuousMap, IntervalSpec, IntervalFamily, ProductKind,
-                     load_space)
+                     _canon_point, load_space)
 
 
 def _fmt(x) -> str:
@@ -80,7 +80,8 @@ def _load_filtration(args):
         X = load_space(args.space)
         with open(args.sublevel, "r", encoding="utf-8") as fh:
             f = sublevel_from_csv(fh.read())
-        return filtered_from_sublevel(X, f)
+        point = _point_names(X, args.sublevel, "point")
+        return filtered_from_sublevel(X, {point(k): v for k, v in f.items()})
     raise ParseError("need --metric, --digraph, or --space with --sublevel")
 
 
@@ -205,18 +206,23 @@ def _load_mapping(path):
     return obj
 
 
+def _point_names(X, path, role):
+    """Look up a point of X by the name a file gives it: its str, a JSON
+    list standing for a tuple as in space files."""
+    by_name = {str(p): p for p in X.points}
+
+    def point(name):
+        key = str(_canon_point(name))
+        if key not in by_name:
+            raise ParseError(f"{path}: unknown {role} {name!r}")
+        return by_name[key]
+    return point
+
+
 def _resolve_mapping(raw, X, Y, path):
-    """JSON keys are strings; match them to the actual point labels."""
-    src = {str(p): p for p in X.points}
-    tgt = {str(p): p for p in Y.points}
-    out = {}
-    for k, v in raw.items():
-        if k not in src:
-            raise ParseError(f"{path}: unknown source point {k!r}")
-        if str(v) not in tgt:
-            raise ParseError(f"{path}: unknown target point {v!r}")
-        out[src[k]] = tgt[str(v)]
-    return out
+    src = _point_names(X, path, "source point")
+    tgt = _point_names(Y, path, "target point")
+    return {src(k): tgt(v) for k, v in raw.items()}
 
 
 def cmd_homotopic(args) -> int:

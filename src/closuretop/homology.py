@@ -5,13 +5,16 @@ cubes (tables of 2^n vertex values constrained by the chosen interval
 and product) or simplices (tuples constrained by the interval order).
 One assembly builds these complexes and those of simplicial complexes:
 it lists the shapes of each degree, drops the degenerate ones, and
-counts a face outside the basis below as zero.  Boundary matrices are
+counts a face outside the basis below as zero.  Each complex also keeps
+the rule that reads a vertex image as a signed basis element or zero,
+so a chain map asks its target, not a theory.  Boundary matrices are
 integer matrices; groups are read off via Smith data over Z and Q and
 via column-reduction ranks over a prime field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from ._linalg import (FieldReducer, PrimeField, RationalField,
                       integer_kernel_basis, rank_and_invariants, smith)
@@ -153,16 +156,21 @@ def enumerate_simplices(X: FiniteClosureSpace, theory: Theory, n: int):
 # chain complexes
 
 class ChainComplex:
-    """Basis elements per degree and integer boundary columns."""
+    """Basis elements per degree and integer boundary columns.
 
-    __slots__ = ("basis", "index", "boundaries", "top")
+    signed_shape(image, n) reads an n-shape of vertices mapped into this
+    complex as a pair (basis element, sign), or None when it is zero.
+    """
 
-    def __init__(self, basis, boundaries, top):
+    __slots__ = ("basis", "index", "boundaries", "top", "signed_shape")
+
+    def __init__(self, basis, boundaries, top, signed_shape):
         self.basis = basis
         self.index = {d: {b: i for i, b in enumerate(bs)}
                       for d, bs in basis.items()}
         self.boundaries = boundaries
         self.top = top
+        self.signed_shape = signed_shape
         self._check_squares()
 
     def _check_squares(self):
@@ -183,12 +191,13 @@ class ChainComplex:
         return self.boundaries.get(n, [])
 
 
-def _assemble(shapes, faces, top) -> ChainComplex:
+def _assemble(shapes, faces, top, signed_shape) -> ChainComplex:
     """The chain complex of shapes(n), n = 0 .. top, with signed faces.
 
     faces(s, n) lists the pairs (face, sign) of an n-shape s, or is None
     when s is degenerate; degenerate shapes are dropped.  A face that is
-    not in the basis one degree down counts as zero.
+    not in the basis one degree down counts as zero.  signed_shape is
+    the complex's rule for images (see ChainComplex).
     """
     basis = {0: shapes(0)}
     boundaries = {}
@@ -207,7 +216,7 @@ def _assemble(shapes, faces, top) -> ChainComplex:
                     col[row] = col.get(row, 0) + sign
             kept.append(s)
             cols.append({r: c for r, c in col.items() if c})
-    return ChainComplex(basis, boundaries, top)
+    return ChainComplex(basis, boundaries, top, signed_shape)
 
 
 def _cube_faces(table, n):
@@ -228,6 +237,27 @@ def _simplex_faces(tup, n):
     return [(tup[:i] + tup[i + 1:], (-1) ** i) for i in range(n + 1)]
 
 
+def _cube_image(table, n):
+    return None if n and cube_degenerate(table, n) else (table, 1)
+
+
+def _tuple_image(tup, n):
+    return tup, 1
+
+
+def _normalized_image(tup, n):
+    return None if any(a == b for a, b in zip(tup, tup[1:])) else (tup, 1)
+
+
+def _ordered_image(vertices, n):
+    """Vertices sorted by repr, with the sort's sign; zero on a repeat."""
+    if len(set(vertices)) != len(vertices):
+        return None
+    order = sorted(range(len(vertices)), key=lambda i: repr(vertices[i]))
+    inversions = sum(a > b for a, b in combinations(order, 2))
+    return tuple(vertices[i] for i in order), (-1) ** inversions
+
+
 def _check_singular(theory: Theory, shape: str, top: int, cap):
     if theory.shape != shape:
         raise BadParameter(f"a {shape} chain complex needs a {shape} theory")
@@ -241,7 +271,7 @@ def cubical_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
     """Chain complex of nondegenerate singular cubes up to dimension top."""
     _check_singular(theory, "cube", top, cap)
     return _assemble(lambda n: enumerate_cubes(X, theory, n), _cube_faces,
-                     top)
+                     top, _cube_image)
 
 
 def simplicial_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
@@ -250,11 +280,13 @@ def simplicial_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
 
     Unnormalized by default: degenerate tuples are kept as basis
     elements, so the point space has rank one in every degree.
-    Normalized theories leave them out, so their faces count as zero.
+    Normalized theories leave them out, so their faces and images count
+    as zero.
     """
     _check_singular(theory, "simplex", top, cap)
     return _assemble(lambda n: enumerate_simplices(X, theory, n),
-                     _simplex_faces, top)
+                     _simplex_faces, top,
+                     _normalized_image if theory.normalized else _tuple_image)
 
 
 def singular_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
@@ -273,7 +305,7 @@ def complex_chain_complex(K, top: int = None) -> ChainComplex:
         top = max(by_dim, default=0)
     return _assemble(
         lambda n: sorted(by_dim.get(n, []), key=lambda t: tuple(map(repr, t))),
-        _simplex_faces, top)
+        _simplex_faces, top, _ordered_image)
 
 
 # ---------------------------------------------------------------------------
@@ -456,46 +488,22 @@ def homology_basis(C: ChainComplex, n: int, coefficients: str = "z",
 # ---------------------------------------------------------------------------
 # chain maps and induced maps on homology
 
-def _permutation_sign(values):
-    sign = 1
-    vals = list(values)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign
-
-
 def chain_map_columns(C_src: ChainComplex, C_tgt: ChainComplex, n: int,
-                      mapping, theory: Theory = None):
+                      mapping):
     """Columns of the degree-n chain map induced by a vertex map.
 
-    With a theory the bases are singular shapes; without one they are
-    ordered simplices of simplicial complexes, where images with
-    repeated vertices die and reordering contributes a sign.  A
-    degenerate image maps to zero; any other image must be a basis
-    element of the target, else the map is not continuous.
+    The target's signed_shape reads each image as a signed basis element
+    or zero; an image it keeps must be in the target's basis, else the
+    map is not continuous.
     """
     tgt_index = C_tgt.index.get(n, {})
     cols = []
     for b in C_src.basis.get(n, []):
-        image = tuple(mapping[x] for x in b)
-        sign = 1
-        if theory is None:
-            if len(set(image)) != len(image):
-                cols.append({})
-                continue
-            order = sorted(range(len(image)), key=lambda i: repr(image[i]))
-            sign = _permutation_sign(order)
-            image = tuple(image[i] for i in order)
-        elif theory.shape == "cube":
-            if n > 0 and cube_degenerate(image, n):
-                cols.append({})
-                continue
-        elif theory.normalized and any(
-                image[i] == image[i + 1] for i in range(len(image) - 1)):
+        signed = C_tgt.signed_shape(tuple(mapping[x] for x in b), n)
+        if signed is None:
             cols.append({})
             continue
+        image, sign = signed
         row = tgt_index.get(image)
         if row is None:
             raise NotContinuous(f"the degree-{n} shape {b!r} maps to "
@@ -513,18 +521,17 @@ class InducedMap:
 
 def induced_map_between(C_src: ChainComplex, C_tgt: ChainComplex, mapping,
                         n: int, coefficients: str = "z",
-                        reduced: bool = False, theory: Theory = None,
+                        reduced: bool = False,
                         src_basis=None, tgt_basis=None) -> InducedMap:
     src = src_basis or homology_basis(C_src, n, coefficients, reduced=reduced)
     tgt = tgt_basis or homology_basis(C_tgt, n, coefficients, reduced=reduced)
-    cols = chain_map_columns(C_src, C_tgt, n, mapping, theory=theory)
+    cols = chain_map_columns(C_src, C_tgt, n, mapping)
     dim_tgt = C_tgt.dim(n)
     matrix_cols = []
     for gen in src.generators:
         image = [0] * dim_tgt
-        zero_like = 0
         for j, coeff in enumerate(gen):
-            if coeff == zero_like:
+            if not coeff:
                 continue
             for r, c in cols[j].items():
                 image[r] += coeff * c
@@ -543,5 +550,4 @@ def induced_map(f: ContinuousMap, theory: Theory, n: int,
     C_src = singular_chain_complex(f.source, theory, n + 1, cap=cap)
     C_tgt = singular_chain_complex(f.target, theory, n + 1, cap=cap)
     return induced_map_between(C_src, C_tgt, f.mapping, n,
-                               coefficients=coefficients, reduced=reduced,
-                               theory=theory)
+                               coefficients=coefficients, reduced=reduced)

@@ -4,7 +4,9 @@ Diagrams come from two routes: column reduction of a filtered
 simplicial complex, and one elder-rule sweep along a tower of stage
 homology groups with inclusion-induced maps.  The module also provides
 the bottleneck distance, correspondence distortion with the derived
-Gromov-Hausdorff distance, and interleaving verification.
+Gromov-Hausdorff distance, and interleaving verification.  Tower maps
+act on sparse vectors: the sweep and the interleaving identities push
+vectors through the stage maps, and no composite matrix is formed.
 """
 from __future__ import annotations
 
@@ -196,27 +198,6 @@ def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",
 # ---------------------------------------------------------------------------
 # route 2: homology towers
 
-def _mat_mul(F, A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0]) if inner else 0
-    out = [[F.zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a != F.zero:
-                Bt = B[t]
-                row = out[i]
-                for j in range(cols):
-                    row[j] = F.add(row[j], F.mul(a, Bt[j]))
-    return out
-
-
-def _mat_identity(F, n):
-    return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-
-
 def _image(F, M, v):
     """The matrix M (a list of rows) applied to the sparse vector v."""
     out = {}
@@ -233,10 +214,10 @@ class Tower:
     """Stage homology dimensions and the maps between consecutive stages."""
 
     __slots__ = ("grid", "dims", "maps", "field", "degree",
-                 "_complexes", "_bases", "_theory")
+                 "_complexes", "_bases")
 
     def __init__(self, grid, dims, maps, field, degree,
-                 complexes=None, bases=None, theory=None):
+                 complexes=None, bases=None):
         grid = tuple(grid)
         if len(dims) != len(grid) or len(maps) != len(grid) - 1:
             raise ShapeMismatch("tower pieces do not align with the grid")
@@ -252,7 +233,6 @@ class Tower:
         self.degree = degree
         self._complexes = complexes
         self._bases = bases
-        self._theory = theory
 
     def index_at(self, t):
         """Largest grid index with value <= t; None below the grid."""
@@ -263,14 +243,13 @@ class Tower:
         i = self.index_at(t)
         return 0 if i is None else self.dims[i]
 
-    def map_between(self, i: int, j: int):
-        """Composite matrix from stage index i to stage index j."""
+    def push(self, i: int, j: int, v):
+        """The sparse vector v of stage index i mapped to stage index j."""
         if not 0 <= i <= j < len(self.grid):
             raise ShapeMismatch(f"bad stage window ({i}, {j})")
-        acc = _mat_identity(self.field, self.dims[i])
         for k in range(i, j):
-            acc = _mat_mul(self.field, self.maps[k], acc)
-        return acc
+            v = _image(self.field, self.maps[k], v)
+        return v
 
 
 def _stage_complex(stage, theory, top):
@@ -299,13 +278,10 @@ def persistence_tower(F: FilteredClosureSpace, theory, degree: int,
         mapping = {x: x for x in stages[i].points}
         im = induced_map_between(
             complexes[i], complexes[i + 1], mapping, degree,
-            coefficients=coefficients,
-            theory=theory if isinstance(theory, Theory) else None,
             src_basis=bases[i], tgt_basis=bases[i + 1])
         maps.append(im.matrix)
     return Tower(grid, [b.dimension for b in bases], maps, field, degree,
-                 complexes=complexes, bases=bases,
-                 theory=theory if isinstance(theory, Theory) else None)
+                 complexes=complexes, bases=bases)
 
 
 def tower_to_diagram(T: Tower) -> PersistenceDiagram:
@@ -550,7 +526,8 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
 
     M and N must share one grid; phi[i] maps M at grid[i] into N at
     grid[i]+eps, psi[i] the other way.  Checks the two triangle
-    identities and naturality of both families.
+    identities and naturality of both families on each stage's unit
+    vectors.
     """
     if M.grid != N.grid:
         raise ShapeMismatch("towers must be given on a merged grid")
@@ -570,28 +547,21 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
             raise ShapeMismatch(f"phi[{i}] has the wrong shape")
         if len(psi[i]) != M.dims[j] or any(len(r) != N.dims[i] for r in psi[i]):
             raise ShapeMismatch(f"psi[{i}] has the wrong shape")
-    for i in range(k):
-        j = shift[i]
-        jj = M.index_at(grid[j] + eps)
-        two = M.index_at(grid[i] + 2 * eps)
-        # triangles: going across and back equals the 2*eps structure map,
-        # compared after pushing both composites to level t + 2*eps
-        lhs = _mat_mul(F, M.map_between(jj, two), _mat_mul(F, psi[j], phi[i]))
-        if lhs != M.map_between(i, two):
-            return False
-        lhs = _mat_mul(F, N.map_between(jj, two), _mat_mul(F, phi[j], psi[i]))
-        if lhs != N.map_between(i, two):
-            return False
-    for i in range(k - 1):
-        # naturality squares between consecutive grid values
-        lhs = _mat_mul(F, phi[i + 1], M.map_between(i, i + 1))
-        rhs = _mat_mul(F, N.map_between(shift[i], shift[i + 1]), phi[i])
-        if lhs != rhs:
-            return False
-        lhs = _mat_mul(F, psi[i + 1], N.map_between(i, i + 1))
-        rhs = _mat_mul(F, M.map_between(shift[i], shift[i + 1]), psi[i])
-        if lhs != rhs:
-            return False
+    for A, B, f, g in ((M, N, phi, psi), (N, M, psi, phi)):
+        for i in range(k):
+            j = shift[i]
+            two = A.index_at(grid[i] + 2 * eps)
+            for e in ({r: F.one} for r in range(A.dims[i])):
+                # triangle: across and back equals the 2*eps structure
+                # map, once both are pushed to level t + 2*eps
+                there = _image(F, f[i], e)
+                if (A.push(shift[j], two, _image(F, g[j], there))
+                        != A.push(i, two, e)):
+                    return False
+                # naturality square up to the next grid value
+                if i + 1 < k and (_image(F, f[i + 1], A.push(i, i + 1, e))
+                                  != B.push(j, shift[i + 1], there)):
+                    return False
     return True
 
 
@@ -616,9 +586,7 @@ def inclusion_interleaving_maps(A: Tower, B: Tower, eps):
         for x in mapping:
             if (x,) not in C_tgt.index.get(0, {}):
                 raise ShapeMismatch(f"point {x!r} is not included downstream")
-        coeffs = "q" if isinstance(A.field, RationalField) else f"f{A.field.p}"
         im = induced_map_between(C_src, C_tgt, mapping, A.degree,
-                                 coefficients=coeffs, theory=A._theory,
                                  src_basis=A._bases[i], tgt_basis=B._bases[j])
         out.append(im.matrix)
     return out

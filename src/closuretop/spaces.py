@@ -572,6 +572,8 @@ def _canon_point(p):
     """JSON has no tuples; nested lists in a space file become tuples."""
     if isinstance(p, list):
         return tuple(_canon_point(q) for q in p)
+    if isinstance(p, dict):
+        raise ParseError(f"a point cannot be a JSON object: {p!r}")
     return p
 
 

@@ -75,6 +75,19 @@ def test_persist_sublevel_route(space_path, tmp_path, capsys):
                  "--sublevel", str(sub)]) == 0
     d0 = json.loads(capsys.readouterr().out.splitlines()[0])
     assert [0.0, "inf"] in d0["pairs"]
+    # CSV names are matched to the points' str, numeric ids included
+    numeric = tmp_path / "numeric.json"
+    numeric.write_text(space_to_json(build_space([0, 1], {0: {0}, 1: {1}})))
+    sub.write_text("0,0\n1,2\n")
+    assert main(["persist", "--space", str(numeric),
+                 "--sublevel", str(sub)]) == 0
+    d0 = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert d0["pairs"] == [[0.0, "inf"], [2.0, "inf"]]
+    # a name that is not a point is refused, not dropped
+    sub.write_text("0,0\n1,2\n2,1\n")
+    assert main(["persist", "--space", str(numeric),
+                 "--sublevel", str(sub)]) == 2
+    assert capsys.readouterr().err.endswith("unknown point '2'\n")
 
 
 def test_persist_digraph_route(tmp_path, capsys):
@@ -133,6 +146,16 @@ def test_homotopic_command(tmp_path, capsys):
     assert main(["homotopic", str(sp2), str(sp2), str(f), str(g),
                  "--product", "box", "--interval", "plain:2"]) == 0
     assert "not homotopic" in capsys.readouterr().out
+    # tuple points are JSON lists in space files, and may be in map files
+    P = build_space([(0, 0), (0, 1)], {(0, 0): {(0, 0), (0, 1)},
+                                       (0, 1): {(0, 1)}})
+    sp3 = tmp_path / "pair.json"
+    sp3.write_text(space_to_json(P))
+    f.write_text('{"(0, 0)": [0, 1], "(0, 1)": [0, 1]}')
+    g.write_text('{"(0, 0)": "(0, 0)", "(0, 1)": [0, 1]}')
+    assert main(["homotopic", str(sp3), str(sp3), str(f), str(g),
+                 "--interval", "jplus"]) == 0
+    assert capsys.readouterr().out.startswith("homotopic in 1 step(s)")
 
 
 def test_bad_budgets_are_reported(space_path, square_path, tmp_path, capsys):
@@ -168,6 +191,11 @@ def test_exit_codes(tmp_path, space_path, capsys):
     assert exc.value.code == 2
     assert main(["bottleneck", "/nonexistent1", "/nonexistent2"]) == 1
     assert main(["homology", space_path, "--max-dim", "9"]) == 3
+    obj = tmp_path / "obj.json"
+    obj.write_text('{"points": [{"a": 1}], "closure": {}}')
+    for argv in (["homology", str(obj)], ["vr", str(obj)]):
+        assert main(argv) == 2  # a JSON object is no point id
+        assert "cannot be a JSON object" in capsys.readouterr().err
     pt = tmp_path / "pt.json"
     pt.write_text(space_to_json(build_space(["p"], {"p": {"p"}})))
     assert main(["homology", str(pt), "--max-dim", "9", "--cap", "11"]) == 0

@@ -379,24 +379,97 @@ def test_chain_map_outside_the_target_raises_not_continuous():
     # (0, 1) is a shape of the source whose image is none of the target
     X = build_space([0, 1], {0: {0, 1}, 1: {0, 1}})
     Y = build_space([0, 1, 2], {y: {y} for y in range(3)})
-    cases = [(lambda S: cubical_chain_complex(S, CUBE_J1_TIMES, 2),
-              CUBE_J1_TIMES, False),
-             (lambda S: singular_chain_complex(S, SIMPLEX_J1, 2),
-              SIMPLEX_J1, True),
-             (lambda S: complex_chain_complex(vr(S), top=2), None, False)]
-    for build, th, keeps_degenerate in cases:
+    cases = [(lambda S: cubical_chain_complex(S, CUBE_J1_TIMES, 2), False),
+             (lambda S: singular_chain_complex(S, SIMPLEX_J1, 2), True),
+             (lambda S: complex_chain_complex(vr(S), top=2), False)]
+    for build, keeps_degenerate in cases:
         C_src, C_tgt = build(X), build(Y)
         for call in (
-                lambda: chain_map_columns(C_src, C_tgt, 1, {0: 0, 1: 1},
-                                          theory=th),
-                lambda: induced_map_between(C_src, C_tgt, {0: 0, 1: 1}, 1,
-                                            theory=th)):
+                lambda: chain_map_columns(C_src, C_tgt, 1, {0: 0, 1: 1}),
+                lambda: induced_map_between(C_src, C_tgt, {0: 0, 1: 1}, 1)):
             with pytest.raises(NotContinuous, match=r"\(0, 1\)"):
                 call()
         # a degenerate image maps to zero, unless the basis keeps it
-        cols = chain_map_columns(C_src, C_tgt, 1, {0: 0, 1: 0}, theory=th)
+        cols = chain_map_columns(C_src, C_tgt, 1, {0: 0, 1: 0})
         want = {C_tgt.index[1][(0, 0)]: 1} if keeps_degenerate else {}
         assert cols[C_src.index[1][(0, 1)]] == want
+
+
+def _oracle_chain_map_columns(C_src, C_tgt, n, mapping, theory):
+    """The chain-map rule written out per kind of complex: cube theories
+    drop degenerate tables, normalized simplex theories drop tuples with
+    equal neighbours, and theory None (a simplicial complex) drops
+    repeated vertices and sorts the rest by repr with the sort's sign."""
+    tgt_index = C_tgt.index.get(n, {})
+    cols = []
+    for b in C_src.basis.get(n, []):
+        image = tuple(mapping[x] for x in b)
+        sign = 1
+        if theory is None:
+            if len(set(image)) != len(image):
+                cols.append({})
+                continue
+            order = sorted(range(len(image)), key=lambda i: repr(image[i]))
+            for a in range(len(order)):
+                for b in range(a + 1, len(order)):
+                    if order[a] > order[b]:
+                        sign = -sign
+            image = tuple(image[i] for i in order)
+        elif theory.shape == "cube":
+            if n > 0 and cube_degenerate(image, n):
+                cols.append({})
+                continue
+        elif theory.normalized and any(
+                image[i] == image[i + 1] for i in range(len(image) - 1)):
+            cols.append({})
+            continue
+        row = tgt_index.get(image)
+        if row is None:
+            raise NotContinuous(f"{b!r} maps outside the target's basis")
+        cols.append({row: sign})
+    return cols
+
+
+def test_chain_map_columns_against_per_kind_oracle():
+    # continuous maps, and some that are not, between random spaces; the
+    # target's own rule must give the oracle's columns or its refusal
+    rng = random.Random(163)
+    kinds = [(lambda S, th=th: singular_chain_complex(S, th, 2), th)
+             for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
+                        CUBE_JPLUS_BOX, SIMPLEX_J1, SIMPLEX_JPLUS,
+                        Theory("simplex", "j1", normalized=True),
+                        Theory("simplex", "jplus", normalized=True))]
+    kinds += [(lambda S, K=K: complex_chain_complex(K(S), top=2), None)
+              for K in (vr, cech)]
+    outcomes = set()
+    for _ in range(30):
+        X = rand_space(rng, rng.randint(1, 4), prefix="x")
+        Y = rand_space(rng, rng.randint(1, 4), prefix="y")
+        maps = [dict(zip(X.points, combo)) for combo in
+                itertools.product(Y.points, repeat=len(X.points))]
+        continuous = [f for f in maps if is_continuous(f, X, Y)]
+        picked = rng.sample(continuous, min(3, len(continuous)))
+        picked.append(rng.choice(maps))
+        for build, th in kinds:
+            C_src, C_tgt = build(X), build(Y)
+            for f in picked:
+                for n in (0, 1, 2):
+                    try:
+                        want = _oracle_chain_map_columns(C_src, C_tgt, n, f,
+                                                         th)
+                    except NotContinuous:
+                        with pytest.raises(NotContinuous):
+                            chain_map_columns(C_src, C_tgt, n, f)
+                        outcomes.add("refused")
+                        continue
+                    assert chain_map_columns(C_src, C_tgt, n, f) == want
+                    outcomes.update(c for col in want for c in col.values())
+    assert outcomes == {1, -1, "refused"}
+    # the identity of the directed 3-cycle in the jplus-times theory
+    X = build_space([0, 1, 2], {0: {0, 1}, 1: {1, 2}, 2: {2, 0}})
+    C = singular_chain_complex(X, CUBE_JPLUS_TIMES, 2)
+    assert induced_map_between(C, C, {x: x for x in X.points}, 1,
+                               "q").matrix == [[1]]
 
 
 # ---------------------------------------------------------------------------

@@ -239,8 +239,9 @@ def test_tower_ranks_and_indexing():
     assert tower_to_diagram(T).as_multiset() == {(0, 3): 1, (0, None): 1}
     assert T.index_at(-1) is None and T.dim_at(-1) == 0
     assert T.index_at(Fraction(5, 2)) == 0
+    assert T.push(0, 1, {0: 1, 1: 1}) == {}  # both points merge at 3
     with pytest.raises(ShapeMismatch):
-        T.map_between(1, 0)
+        T.push(1, 0, {})
     with pytest.raises(BadParameter):
         persistence_tower(F, "complex-vr", 0, "z")
 
@@ -672,6 +673,92 @@ def _merged_towers(FX, FY, degree, eps):
     N = persistence_tower(FY, SIMPLEX_J1, degree, "f2", grid=grid)
     return M, N
 
+
+def _oracle_structure(T, i, j):
+    """The structure map of T from stage i to stage j as a dense matrix."""
+    F = T.field
+    acc = [[F.one if a == b else F.zero for b in range(T.dims[i])]
+           for a in range(T.dims[i])]
+    for k in range(i, j):
+        acc = _oracle_mul(F, T.maps[k], acc, T.dims[i])
+    return acc
+
+
+def _oracle_failures(M, N, eps, phi, psi):
+    """Dense products of the interleaving identities on a shared grid: the
+    set of those that fail, numbered 0 for the triangle through M, 1
+    through N, 2 for the naturality square of phi and 3 of psi."""
+    F, grid, k = M.field, M.grid, len(M.grid)
+    shift = [N.index_at(t + eps) for t in grid]
+    failed = set()
+    for i in range(k):
+        j = shift[i]
+        jj = M.index_at(grid[j] + eps)
+        two = M.index_at(grid[i] + 2 * eps)
+        for which, (A, f, g) in enumerate(((M, phi, psi), (N, psi, phi))):
+            d = A.dims[i]
+            lhs = _oracle_mul(F, _oracle_structure(A, jj, two),
+                              _oracle_mul(F, g[j], f[i], d), d)
+            if lhs != _oracle_structure(A, i, two):
+                failed.add(which)
+    for i in range(k - 1):
+        for which, (A, B, f) in enumerate(((M, N, phi), (N, M, psi)), 2):
+            d = A.dims[i]
+            lhs = _oracle_mul(F, f[i + 1], _oracle_structure(A, i, i + 1), d)
+            rhs = _oracle_mul(F, _oracle_structure(B, shift[i], shift[i + 1]),
+                              f[i], d)
+            if lhs != rhs:
+                failed.add(which)
+    return frozenset(failed)
+
+
+def _rand_matrix(rng, F, rows, cols):
+    return [[F.of(rng.randint(-2, 2)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _rand_tower(rng, F, grid):
+    """Stage dimensions 0-3 and maps of every rank through an inner space."""
+    dims = [rng.randint(0, 3) for _ in grid]
+    maps = []
+    for a, b in zip(dims, dims[1:]):
+        inner = rng.randint(0, min(a, b))
+        maps.append(_oracle_mul(F, _rand_matrix(rng, F, b, inner),
+                                _rand_matrix(rng, F, inner, a), a))
+    return Tower(grid, dims, maps, F, 0)
+
+
+def test_verify_interleaving_against_dense_oracle():
+    # a tower is eps-interleaved with itself by its structure maps; random
+    # entries added to one phi[i] or psi[i] can break one square alone,
+    # and random maps between random towers one triangle alone
+    rng = random.Random(599)
+    fields = [PrimeField(2), PrimeField(3), RationalField()]
+    seen = set()
+    for n in range(600):
+        F = fields[n % 3]
+        grid = tuple(sorted(rng.sample(range(8), rng.randint(2, 6))))
+        eps = rng.choice((0, 1, 2, 3))
+        M = _rand_tower(rng, F, grid)
+        shift = [M.index_at(t + eps) for t in grid]
+        if n % 2:
+            N = M
+            phi = [_oracle_structure(M, i, j) for i, j in enumerate(shift)]
+            psi = [[row[:] for row in m] for m in phi]
+            for row in rng.choice((phi, psi))[rng.randrange(len(grid))]:
+                for c in range(len(row)):
+                    if rng.random() < 0.5:
+                        row[c] = F.add(row[c], F.of(rng.randint(1, 2)))
+        else:
+            N = _rand_tower(rng, F, grid)
+            phi = [_rand_matrix(rng, F, N.dims[j], M.dims[i])
+                   for i, j in enumerate(shift)]
+            psi = [_rand_matrix(rng, F, M.dims[j], N.dims[i])
+                   for i, j in enumerate(shift)]
+        failed = _oracle_failures(M, N, eps, phi, psi)
+        assert verify_interleaving(M, N, eps, phi, psi) == (not failed)
+        seen.add(failed)
+    assert {frozenset(s) for s in ((), (0,), (1,), (2,), (3,))} <= seen
 
 def test_interleaving_of_close_sublevel_functions():
     rng = random.Random(157)
