@@ -4,14 +4,14 @@ Over the integers, ``smith`` is the one Smith reduction: a dense
 matrix over Python ints, with its row transform.  ``rank_and_invariants``
 first eliminates unit pivots, which cover almost all of a boundary
 matrix, by sparse column operations over Python ints, and hands the
-small residue to ``smith``; ``integer_kernel_basis`` gives a lattice
-basis of an integer kernel.
+small residue to ``smith``; its invariant factors give homology over Z,
+Q and every F_p.  ``integer_kernel_basis`` gives integer kernel lattices.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
 and Carlsson (2005) on sparse columns, generic over a tiny field protocol
-with rational and prime-field instances.  Ranks, kernel vectors,
-quotient coordinates and persistence pairs are all read off it.
+with rational and prime-field instances.  Kernel vectors, homology bases,
+quotient coordinates and persistence pairs are read off it.
 """
 from __future__ import annotations
 

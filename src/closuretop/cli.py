@@ -14,7 +14,7 @@ import sys
 from .complexes import cech as cech_complex
 from .complexes import complex_to_text
 from .complexes import vr as vr_complex
-from .errors import ClosureError, DimensionTooLarge, ParseError
+from .errors import ClosureError, DimensionTooLarge, MissingPoint, ParseError
 from .filtrations import (Decoration, filtered_from_metric,
                           filtered_from_sublevel,
                           filtered_from_weighted_digraph, metric_from_csv,
@@ -78,10 +78,13 @@ def _load_filtration(args):
                                 bool(args.metric))
     if args.space and args.sublevel:
         X = load_space(args.space)
-        with open(args.sublevel, "r", encoding="utf-8") as fh:
-            f = sublevel_from_csv(fh.read())
         point = _point_names(X, args.sublevel, "point")
-        return filtered_from_sublevel(X, {point(k): v for k, v in f.items()})
+        with open(args.sublevel, "r", encoding="utf-8") as fh:
+            f = {point(k): v for k, v in sublevel_from_csv(fh.read()).items()}
+        try:
+            return filtered_from_sublevel(X, f)
+        except MissingPoint as exc:
+            raise ParseError(f"{args.sublevel}: {exc}") from exc
     raise ParseError("need --metric, --digraph, or --space with --sublevel")
 
 

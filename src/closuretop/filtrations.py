@@ -311,15 +311,14 @@ def metric_from_csv(text: str, pseudo: bool = False) -> FiniteMetric:
     if not rows:
         raise ParseError("empty distance matrix")
     labels = None
-    first = rows[0]
     try:
-        [parse_number(c) for c in first]
+        matrix = [[parse_number(c) for c in rows[0]]]
     except ParseError:
-        labels = [c.strip() for c in first]
-        rows = rows[1:]
-    if not rows:
+        labels = [c.strip() for c in rows[0]]
+        matrix = []
+    matrix += [[parse_number(c) for c in row] for row in rows[1:]]
+    if not matrix:
         raise ParseError("distance matrix has a header but no rows")
-    matrix = [[parse_number(c) for c in row] for row in rows]
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ParseError("distance matrix must be square")

@@ -8,8 +8,8 @@ it lists the shapes of each degree, drops the degenerate ones, and
 counts a face outside the basis below as zero.  Each complex also keeps
 the rule that reads a vertex image as a signed basis element or zero,
 so a chain map asks its target, not a theory.  Boundary matrices are
-integer matrices; groups are read off via Smith data over Z and Q and
-via column-reduction ranks over a prime field.
+integer matrices; groups over Z, Q and every F_p are read off their
+invariant factors, and a field reduction gives bases and induced maps.
 """
 from __future__ import annotations
 
@@ -101,10 +101,22 @@ def cube_face(values, n, i, bit):
     return tuple(out)
 
 
+def _cube_faces(table, n):
+    """The 2n signed faces of an n-cube table; None if it is degenerate."""
+    out = []
+    for i in range(1, n + 1):
+        low = cube_face(table, n, i, 0)
+        high = cube_face(table, n, i, 1)
+        if low == high:
+            return None
+        sign = (-1) ** i
+        out += ((low, sign), (high, -sign))
+    return out
+
+
 def cube_degenerate(values, n) -> bool:
     """True iff the table does not depend on some coordinate."""
-    return any(cube_face(values, n, i, 0) == cube_face(values, n, i, 1)
-               for i in range(1, n + 1))
+    return _cube_faces(values, n) is None
 
 
 def _cube_vertex_relation(interval, kind, n):
@@ -148,7 +160,7 @@ def enumerate_simplices(X: FiniteClosureSpace, theory: Theory, n: int):
     tuples = _maps_into(X, [list(range(0 if mutual else a, n + 1))
                             for a in range(n + 1)])
     if theory.normalized:
-        tuples = [t for t in tuples if all(a != b for a, b in zip(t, t[1:]))]
+        tuples = [t for t in tuples if _normalized_image(t, n)]
     return tuples
 
 
@@ -219,26 +231,13 @@ def _assemble(shapes, faces, top, signed_shape) -> ChainComplex:
     return ChainComplex(basis, boundaries, top, signed_shape)
 
 
-def _cube_faces(table, n):
-    """The 2n signed faces of an n-cube table; None if it is degenerate."""
-    out = []
-    for i in range(1, n + 1):
-        low = cube_face(table, n, i, 0)
-        high = cube_face(table, n, i, 1)
-        if low == high:
-            return None
-        sign = (-1) ** i
-        out += ((low, sign), (high, -sign))
-    return out
-
-
 def _simplex_faces(tup, n):
     """The n+1 signed faces of an ordered n-simplex."""
     return [(tup[:i] + tup[i + 1:], (-1) ** i) for i in range(n + 1)]
 
 
 def _cube_image(table, n):
-    return None if n and cube_degenerate(table, n) else (table, 1)
+    return None if cube_degenerate(table, n) else (table, 1)
 
 
 def _tuple_image(tup, n):
@@ -340,7 +339,9 @@ def _lower_boundary_data(C: ChainComplex, n: int, reduced: bool):
 
 def homology(C: ChainComplex, n: int, coefficients: str = "z",
              reduced: bool = False) -> HomologyGroup:
-    """The degree-n homology of a chain complex built at least to n+1."""
+    """The degree-n homology of a chain complex built at least to n+1.
+
+    Over F_p a map's rank counts its invariant factors prime to p."""
     kind, p = parse_coefficients(coefficients)
     if n < 0:
         raise DegreeOutOfRange("negative degree")
@@ -348,19 +349,12 @@ def homology(C: ChainComplex, n: int, coefficients: str = "z",
         raise DegreeOutOfRange(
             f"degree {n} needs the complex built to {n + 1}, have {C.top}")
     dim_n = C.dim(n)
-    rows_low, cols_low = _lower_boundary_data(C, n, reduced)
-    cols_high = C.boundary_columns(n + 1)
-    if kind == "f":
-        F = PrimeField(p)
-        r_low = FieldReducer(F, cols_low).rank
-        r_high = FieldReducer(F, cols_high).rank
-        return HomologyGroup(dim_n - r_low - r_high, (), coefficients.lower())
-    r_low = rank_and_invariants(rows_low, cols_low)[0] if rows_low else 0
-    r_high, invs = rank_and_invariants(dim_n, cols_high) if dim_n else (0, [])
-    betti = dim_n - r_low - r_high
-    if kind == "q":
-        return HomologyGroup(betti, (), "q")
-    return HomologyGroup(betti, tuple(sorted(d for d in invs if d > 1)), "z")
+    invs_low = rank_and_invariants(*_lower_boundary_data(C, n, reduced))[1]
+    invs_high = rank_and_invariants(dim_n, C.boundary_columns(n + 1))[1]
+    betti = dim_n - sum(1 for d in invs_low + invs_high
+                        if kind != "f" or d % p)
+    torsion = tuple(sorted(d for d in invs_high if d > 1)) if kind == "z" else ()
+    return HomologyGroup(betti, torsion, f"{kind}{p or ''}")
 
 
 def singular_homology(X: FiniteClosureSpace, theory: Theory, n: int,
@@ -474,14 +468,21 @@ class FieldHomologyBasis:
         return [F.neg(tag.get(g, F.zero)) for g in range(self.dimension)]
 
 
+def _coefficient_field(coefficients):
+    """The field of a coefficient spec: Q, F_p, or None for z."""
+    kind, p = parse_coefficients(coefficients)
+    if kind == "z":
+        return None
+    return RationalField() if kind == "q" else PrimeField(p)
+
+
 def homology_basis(C: ChainComplex, n: int, coefficients: str = "z",
                    reduced: bool = False):
-    kind, p = parse_coefficients(coefficients)
+    field = _coefficient_field(coefficients)
     if n < 0 or n + 1 > C.top:
         raise DegreeOutOfRange(f"degree {n} needs the complex built to {n + 1}")
-    if kind == "z":
+    if field is None:
         return IntegerHomologyBasis(C, n, reduced=reduced)
-    field = RationalField() if kind == "q" else PrimeField(p)
     return FieldHomologyBasis(C, n, field, reduced=reduced)
 
 

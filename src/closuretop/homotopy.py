@@ -260,19 +260,19 @@ def one_step_homotopic(f: ContinuousMap, g: ContinuousMap, J: IntervalSpec,
     v = graph.index[_as_tuple(X, Y, g.mapping)]
     if not graph.one_step(u, v):
         return None
-    witness = _extract_one_step(graph, u, v)
-    assert _verify_literal(X, Y, J, kind, witness.maps)
-    return witness
+    return _extract_one_step(graph, u, v)
 
 
 def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
     """Recover an explicit tuple (h_0, ..., h_m) for a known one-step edge
-    from u to v, or else from v to u."""
+    from u to v, or else from v to u, verified on the literal product."""
     forward = graph.one_step(u, v)
     a, b = (u, v) if forward else (v, u)
     slots = next(homomorphisms(graph._j_relation, graph._edge_masks,
                                {0: 1 << a, graph.J.m: 1 << b}))
     maps = tuple(_as_mapping(graph.X, graph.Y, graph.maps[s]) for s in slots)
+    if not _verify_literal(graph.X, graph.Y, graph.J, graph.kind, maps):
+        raise AssertionError("one-step witness is not continuous on X (x) J")
     return OneStepWitness(maps=maps, forward=forward)
 
 

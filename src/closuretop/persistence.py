@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
 
-from ._linalg import FieldReducer, PrimeField, RationalField
+from ._linalg import FieldReducer
 from .complexes import cech, cliques, vr
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
 from .filtrations import FilteredClosureSpace
-from .homology import (Theory, complex_chain_complex, homology_basis,
-                       induced_map_between, parse_coefficients,
+from .homology import (Theory, _coefficient_field, complex_chain_complex,
+                       homology_basis, induced_map_between,
                        singular_chain_complex)
 from .spaces import homomorphisms
 
@@ -32,11 +32,11 @@ DEFAULT_GH_CAP = 6
 
 
 def _field_from_spec(coefficients):
-    kind, p = parse_coefficients(coefficients)
-    if kind == "z":
+    field = _coefficient_field(coefficients)
+    if field is None:
         raise BadParameter(
             "persistence needs field coefficients (q or f<p>)")
-    return RationalField() if kind == "q" else PrimeField(p)
+    return field
 
 
 # ---------------------------------------------------------------------------

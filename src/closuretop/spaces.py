@@ -187,17 +187,13 @@ def homomorphisms(src, tgt, domains=None):
     order = sorted(domains) + [w for w in range(n) if w not in domains]
     pos = {w: i for i, w in enumerate(order)}
     start = [domains.get(w, (1 << len(out)) - 1) for w in order]
-    loops = 0
-    if any(a in src[a] for a in range(n) if a not in domains):
-        loops = sum(1 << p for p, mask in enumerate(out) if mask >> p & 1)
+    loops = sum(1 << p for p, mask in enumerate(out) if mask >> p & 1)
     # constraints on the i-th assigned vertex from neighbours assigned before it
     cons = [[] for _ in order]
     for a in range(n):
         for b in src[a]:
-            if a == b:  # h[a] needs a loop; a domain is filtered bit by bit
-                i = pos[a]
-                start[i] = (start[i] & loops if a not in domains else
-                            sum(1 << p for p in bits(start[i]) if out[p] >> p & 1))
+            if a == b:  # h[a] needs a loop
+                start[pos[a]] &= loops
             elif pos[a] < pos[b]:
                 cons[pos[b]].append((a, out))
             else:

@@ -88,6 +88,11 @@ def test_persist_sublevel_route(space_path, tmp_path, capsys):
     assert main(["persist", "--space", str(numeric),
                  "--sublevel", str(sub)]) == 2
     assert capsys.readouterr().err.endswith("unknown point '2'\n")
+    # so is a file that leaves a point out
+    sub.write_text("0,0\n")
+    assert main(["persist", "--space", str(numeric),
+                 "--sublevel", str(sub)]) == 2
+    assert capsys.readouterr().err.endswith("no function value for 1\n")
 
 
 def test_persist_digraph_route(tmp_path, capsys):

@@ -571,6 +571,46 @@ def test_coefficient_consistency():
             assert f5.rank >= z.rank + extra
 
 
+def _field_rank_homology(C, n, p, reduced):
+    """dim - rank_F(low) - rank_F(d_{n+1}) by field column reduction, the
+    low map being d_n, or in degree 0 the augmentation when reduced."""
+    F = PrimeField(p)
+    if n:
+        low = C.boundary_columns(n)
+    else:
+        low = [{0: 1} if reduced else {} for _ in range(C.dim(0))]
+    return (C.dim(n) - FieldReducer(F, low).rank
+            - FieldReducer(F, C.boundary_columns(n + 1)).rank)
+
+
+def test_prime_field_homology_by_universal_coefficients():
+    # F_p ranks read off the integer invariant factors against a direct
+    # elimination over F_p, reduced and not
+    primes = (2, 3, 5, 4294967311)
+    theories = (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES, CUBE_JPLUS_BOX,
+                SIMPLEX_J1, SIMPLEX_JPLUS,
+                Theory("simplex", "j1", normalized=True),
+                Theory("simplex", "jplus", normalized=True))
+    rng = random.Random(167)
+    complexes = []
+    for _ in range(40):
+        X = rand_space(rng, rng.randint(1, 5), p=rng.choice((0.3, 0.5)))
+        complexes += [singular_chain_complex(
+            X, th, 2 if th.shape == "cube" else 3) for th in theories]
+    rp2 = complex_chain_complex(complex_from_text(RP2, True), top=3)
+    complexes.append(rp2)
+    for C in complexes:
+        for n in range(C.top):
+            for p in primes:
+                for reduced in (False, True):
+                    assert homology(C, n, f"f{p}", reduced).rank == \
+                        _field_rank_homology(C, n, p, reduced)
+    groups = {c: [str(homology(rp2, n, c)) for n in range(3)]
+              for c in ("z", "f2", "q", "f3")}
+    assert groups == {"z": ["Z", "Z/2", "0"], "f2": ["F2", "F2", "F2"],
+                      "q": ["Q", "0", "0"], "f3": ["F3", "0", "0"]}
+
+
 def test_homology_basis_coords_roundtrip():
     Jp = interval(j_plus())
     P = product(Jp, Jp, ProductKind.INDUCTIVE)

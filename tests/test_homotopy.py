@@ -129,27 +129,44 @@ def test_discrete_interval_relates_everything():
 
 
 def test_witness_chain_is_verifiable():
+    # every step is a continuous H : X (x) J -> Y whose ends are the
+    # consecutive stages, in the order its forward flag says
     rng = random.Random(41)
-    q = HomotopyQuery(interval=j1(), product=ProductKind.PRODUCT)
-    found = 0
-    while found < 10:
-        X = rand_space(rng, rng.randint(2, 4), prefix="x")
-        Y = rand_space(rng, rng.randint(2, 4), prefix="y")
-        maps = _maps_between(X, Y)
-        if len(maps) < 2:
-            continue
-        f, g = rng.sample(maps, 2)
-        try:
-            w = homotopic(f, g, q)
-        except BoundExceeded:
-            continue
-        if w is None:
-            continue
-        assert w.stages[0] == f.mapping and w.stages[-1] == g.mapping
-        assert len(w.steps) == w.step_count
-        for s in w.stages:
-            assert is_continuous(s, X, Y)
-        found += 1
+    directions = set()
+    for J, kind in itertools.product((j1(), j_plus(), j_top(2), j_leq(2)),
+                                     ProductKind):
+        q = HomotopyQuery(interval=J, product=kind)
+        found = 0
+        while found < 3:
+            X = rand_space(rng, rng.randint(2, 4), prefix="x")
+            Y = rand_space(rng, rng.randint(2, 4), prefix="y")
+            maps = _maps_between(X, Y)
+            if len(maps) < 2:
+                continue
+            f, g = rng.sample(maps, 2)
+            try:
+                w = homotopic(f, g, q)
+            except BoundExceeded:
+                continue
+            if w is None:
+                continue
+            assert w.stages[0] == f.mapping and w.stages[-1] == g.mapping
+            assert len(w.steps) == w.step_count >= 1
+            for s in w.stages:
+                assert is_continuous(s, X, Y)
+            XJ = product(X, interval(J), kind)
+            for k, step in enumerate(w.steps):
+                assert len(step.maps) == J.m + 1
+                H = {(x, i): h[x] for i, h in enumerate(step.maps)
+                     for x in X.points}
+                assert is_continuous(H, XJ, Y)
+                directions.add(step.forward)
+                ends = (step.maps[0], step.maps[-1])
+                if not step.forward:
+                    ends = ends[::-1]
+                assert ends == (w.stages[k], w.stages[k + 1])
+            found += 1
+    assert directions == {True, False}
 
 
 def test_not_homotopic_on_disconnected_target():
