@@ -2,16 +2,17 @@
 
 Simplices and hyperedges are stored as frozensets inside a
 deduplicated set; accessors return them sorted for reproducibility.
+Cliques, and so VR = cosk1 o symmetrize, come from spaces.homomorphisms;
+g_functor and tr1 agree on complexes and share one body.
 """
 from __future__ import annotations
 
-from itertools import combinations
+import json
+from itertools import combinations, count
 
 from .errors import BadParameter, MissingPoint, ParseError, SourceTargetMismatch
-from .spaces import FiniteClosureSpace, is_symmetric
-
-def _sorted_simplices(simplices):
-    return sorted(simplices, key=lambda s: (len(s), sorted(s, key=repr)))
+from .spaces import (FiniteClosureSpace, closure_masks, homomorphisms,
+                     is_symmetric, symmetrize)
 
 
 def _downward_closure(sets):
@@ -23,26 +24,50 @@ def _downward_closure(sets):
     return out
 
 
+def _unclosed(sets):
+    """A member of sets with a maximal proper face outside sets, or None;
+    by induction on size, sets is downward closed iff there is none."""
+    return next((s for s in sets
+                 if len(s) > 1 and any(s - {x} not in sets for x in s)), None)
+
+
+def _point_sets(points, sets, kind):
+    """The point tuple and the set of frozensets, with distinct point ids
+    and every set nonempty and within the points."""
+    pts = tuple(points)
+    if len(set(pts)) != len(pts):
+        raise BadParameter("duplicate point ids")
+    pset = frozenset(pts)
+    out = set()
+    for s in sets:
+        s = frozenset(s)
+        if not s:
+            raise BadParameter(f"empty {kind}")
+        if not s <= pset:
+            raise MissingPoint(f"{kind} {sorted(s, key=repr)} leaves the point set")
+        out.add(s)
+    return pts, frozenset(out)
+
+
+def _maps_sets(mapping, points, sets, target_points, target_sets) -> bool:
+    """True iff mapping sends every set into target_sets; MissingPoint
+    where it is undefined on points or leaves target_points."""
+    targets = frozenset(target_points)
+    for x in points:
+        if x not in mapping:
+            raise MissingPoint(f"map not defined at {x!r}")
+        if mapping[x] not in targets:
+            raise MissingPoint(f"image {mapping[x]!r} is not a point of the target")
+    return all(frozenset(mapping[x] for x in s) in target_sets for s in sets)
+
+
 class Hypergraph:
     """A point set together with a set of nonempty hyperedges."""
 
     __slots__ = ("points", "edges")
 
     def __init__(self, points, edges):
-        pts = tuple(points)
-        if len(set(pts)) != len(pts):
-            raise BadParameter("duplicate point ids")
-        pset = frozenset(pts)
-        es = set()
-        for e in edges:
-            e = frozenset(e)
-            if not e:
-                raise BadParameter("hyperedges must be nonempty")
-            if not e <= pset:
-                raise MissingPoint(f"hyperedge {sorted(e, key=repr)} leaves the point set")
-            es.add(e)
-        self.points = pts
-        self.edges = frozenset(es)
+        self.points, self.edges = _point_sets(points, edges, "hyperedge")
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
@@ -53,10 +78,7 @@ class Hypergraph:
         return hash((frozenset(self.points), self.edges))
 
     def is_downward_closed(self) -> bool:
-        return all(frozenset(t) in self.edges
-                   for e in self.edges
-                   for r in range(1, len(e))
-                   for t in combinations(e, r))
+        return _unclosed(self.edges) is None
 
     def __repr__(self):
         return f"Hypergraph({len(self.points)} points, {len(self.edges)} edges)"
@@ -68,31 +90,18 @@ class SimplicialComplex:
     __slots__ = ("points", "simplices")
 
     def __init__(self, points, simplices):
-        pts = tuple(points)
-        if len(set(pts)) != len(pts):
-            raise BadParameter("duplicate point ids")
-        pset = frozenset(pts)
-        ss = set()
-        for s in simplices:
-            s = frozenset(s)
-            if not s:
-                raise BadParameter("simplices must be nonempty")
-            if not s <= pset:
-                raise MissingPoint(f"simplex {sorted(s, key=repr)} leaves the point set")
-            ss.add(s)
+        pts, ss = _point_sets(points, simplices, "simplex")
         for x in pts:
             if frozenset([x]) not in ss:
                 raise BadParameter(f"missing singleton {{{x!r}}}")
-        for s in ss:
-            for r in range(1, len(s)):
-                for t in combinations(s, r):
-                    if frozenset(t) not in ss:
-                        raise BadParameter(f"not downward closed at {sorted(s, key=repr)}")
+        bad = _unclosed(ss)
+        if bad is not None:
+            raise BadParameter(f"not downward closed at {sorted(bad, key=repr)}")
         self.points = pts
-        self.simplices = frozenset(ss)
+        self.simplices = ss
 
     def sorted_simplices(self):
-        return _sorted_simplices(self.simplices)
+        return sorted(self.simplices, key=lambda s: (len(s), sorted(s, key=repr)))
 
     def dimension(self) -> int:
         return max(len(s) for s in self.simplices) - 1
@@ -112,12 +121,7 @@ class SimplicialComplex:
 
 def is_simplicial(mapping, K: SimplicialComplex, L: SimplicialComplex) -> bool:
     """True iff the image of every simplex of K is a simplex of L."""
-    for x in K.points:
-        if x not in mapping:
-            raise MissingPoint(f"map not defined at {x!r}")
-        if mapping[x] not in set(L.points):
-            raise MissingPoint(f"image {mapping[x]!r} is not a point of the target")
-    return all(frozenset(mapping[x] for x in s) in L.simplices for s in K.simplices)
+    return _maps_sets(mapping, K.points, K.simplices, L.points, L.simplices)
 
 
 class SimplicialMap:
@@ -150,44 +154,32 @@ class SimplicialMap:
 def cliques(later, max_size=None):
     """Every clique of a graph, as an increasing tuple of vertex indices.
 
-    later[i] lists the neighbours j > i of vertex i in increasing order.
-    Cliques with more than max_size vertices are not generated, so a cap
-    bounds the work as well as the output.  The search keeps an explicit
-    stack of (clique, common later neighbours), so its depth is not
-    limited by recursion.
+    Bit j of the int mask later[i] says that vertex i is adjacent to the
+    vertex j > i.  The r-vertex cliques are the homomorphisms of the
+    strict order on r vertices into that relation, a -> b for a < b, so
+    they come from spaces.homomorphisms, lexicographically within each
+    size.  Sizes go up from 1 until one has no clique or passes
+    max_size, so a cap bounds the work as well as the output.
     """
-    if max_size is not None and max_size < 1:
-        return
-    adjacent = [set(nbrs) for nbrs in later]
-    stack = [((i,), nbrs) for i, nbrs in enumerate(later)]
-    while stack:
-        clique, common = stack.pop()
-        yield clique
-        if max_size is not None and len(clique) >= max_size:
-            continue
-        for k, v in enumerate(common):
-            stack.append((clique + (v,),
-                          [w for w in common[k + 1:] if w in adjacent[v]]))
-
-
-def _clique_complex_simplices(points, adjacent):
-    """All nonempty cliques of a symmetric adjacency predicate."""
-    pts = list(points)
-    later = [[j for j in range(i + 1, len(pts)) if adjacent(pts[i], pts[j])]
-             for i in range(len(pts))]
-    return {frozenset(pts[i] for i in c) for c in cliques(later)}
+    earlier = [sum(1 << i for i in range(j) if later[i] >> j & 1)
+               for j in range(len(later))]
+    for r in count(1) if max_size is None else range(1, max_size + 1):
+        found = False
+        for clique in homomorphisms([range(a + 1, r) for a in range(r)],
+                                    (later, earlier)):
+            found = True
+            yield clique
+        if not found:
+            return
 
 
 def vr(X: FiniteClosureSpace) -> SimplicialComplex:
     """Vietoris-Rips complex: sets contained in the closure of each of their points.
 
     The condition is pairwise mutual closure membership, so this is the
-    clique complex of the symmetrized relation.
+    clique complex of the symmetrized relation, cosk1(symmetrize(X)).
     """
-    simplices = _clique_complex_simplices(
-        X.points,
-        lambda x, y: y in X.closure_map[x] and x in X.closure_map[y])
-    return SimplicialComplex(X.points, simplices)
+    return cosk1(symmetrize(X))
 
 
 def cech(X: FiniteClosureSpace) -> SimplicialComplex:
@@ -197,15 +189,12 @@ def cech(X: FiniteClosureSpace) -> SimplicialComplex:
 
 
 def g_functor(K: SimplicialComplex) -> FiniteClosureSpace:
-    """c(x) = union of all simplices containing x; a symmetric space."""
-    cmap = {}
-    for x in K.points:
-        cl = {x}
-        for s in K.simplices:
-            if x in s:
-                cl |= s
-        cmap[x] = frozenset(cl)
-    return FiniteClosureSpace(K.points, cmap)
+    """c(x) = union of all simplices containing x; a symmetric space.
+
+    Downward closure puts the edge {x, y} in every simplex that holds
+    both points, so the union is that of the edges at x: this is tr1(K).
+    """
+    return tr1(K)
 
 
 def gamma(X: FiniteClosureSpace) -> Hypergraph:
@@ -218,20 +207,20 @@ def cosk1(G: FiniteClosureSpace) -> SimplicialComplex:
     """Clique complex of a graph presented as a symmetric closure space."""
     if not is_symmetric(G):
         raise BadParameter("cosk1 expects a symmetric space")
-    simplices = _clique_complex_simplices(
-        G.points, lambda x, y: y in G.closure_map[x])
-    return SimplicialComplex(G.points, simplices)
+    out, _ = closure_masks(G)
+    later = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(out)]
+    return SimplicialComplex(
+        G.points, {frozenset(G.points[i] for i in c) for c in cliques(later)})
 
 
 def tr1(K: SimplicialComplex) -> FiniteClosureSpace:
     """Keep only the edges of a complex, as a symmetric closure space."""
-    cmap = {}
-    for x in K.points:
-        cl = {x}
-        for s in K.simplices:
-            if len(s) == 2 and x in s:
-                cl |= s
-        cmap[x] = frozenset(cl)
+    cmap = {x: {x} for x in K.points}
+    for s in K.simplices:
+        if len(s) == 2:
+            x, y = s
+            cmap[x].add(y)
+            cmap[y].add(x)
     return FiniteClosureSpace(K.points, cmap)
 
 
@@ -243,11 +232,10 @@ def dc(H: Hypergraph) -> Hypergraph:
 def tr_inf(H: Hypergraph) -> SimplicialComplex:
     """View a downward-closed hypergraph as a simplicial complex.
 
-    On a finite carrier every hyperedge is finite, so this only checks
-    that the input is downward closed and covers every point.
+    On a finite carrier every hyperedge is finite, so this only checks,
+    as the complex does, that the input is downward closed and covers
+    every point.
     """
-    if not H.is_downward_closed():
-        raise BadParameter("tr_inf expects a downward-closed hypergraph")
     return SimplicialComplex(H.points, H.edges)
 
 
@@ -271,12 +259,7 @@ def cosk_inf(K: SimplicialComplex) -> Hypergraph:
 
 def is_hypergraph_map(mapping, H: Hypergraph, K: Hypergraph) -> bool:
     """True iff the image of every hyperedge is a hyperedge."""
-    for x in H.points:
-        if x not in mapping:
-            raise MissingPoint(f"map not defined at {x!r}")
-        if mapping[x] not in set(K.points):
-            raise MissingPoint(f"image {mapping[x]!r} is not a point of the target")
-    return all(frozenset(mapping[x] for x in e) in K.edges for e in H.edges)
+    return _maps_sets(mapping, H.points, H.edges, K.points, K.edges)
 
 
 def contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
@@ -322,8 +305,17 @@ def complex_from_text(text: str, close_downward: bool = False) -> SimplicialComp
         raise ParseError(str(exc)) from exc
 
 
+def _token(x) -> str:
+    """A point as one whitespace-free token: a tuple as its compact JSON
+    list, as space files write it, anything else by str."""
+    token = json.dumps(x, separators=(",", ":")) if isinstance(x, tuple) else str(x)
+    if token.split() != [token] or token.startswith("#"):
+        raise BadParameter(f"point {x!r} has no one-token form for a complex file")
+    return token
+
+
 def complex_to_text(K: SimplicialComplex) -> str:
-    lines = [" ".join(str(x) for x in sorted(s, key=repr))
+    lines = [" ".join(_token(x) for x in sorted(s, key=repr))
              for s in K.sorted_simplices()]
     return "\n".join(lines) + "\n"
 

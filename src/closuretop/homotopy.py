@@ -13,6 +13,7 @@ literal product space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (BadParameter, BoundExceeded, CapExceeded,
@@ -113,11 +114,17 @@ class MapGraph:
     def __init__(self, X: FiniteClosureSpace, Y: FiniteClosureSpace,
                  J: IntervalSpec, kind: ProductKind):
         self.X, self.Y, self.J, self.kind = X, Y, J, kind
-        self._j_relation = neighbour_lists(interval(J))
+        self._interval = interval(J)
+        self._j_relation = neighbour_lists(self._interval)
         self.maps = enumerate_continuous_maps(X, Y)
         self.index = {t: i for i, t in enumerate(self.maps)}
         self._edge_masks = self._edge_relation()
         self.adjacency, self._columns = self._adjacency()
+
+    @cached_property
+    def _literal_product(self) -> FiniteClosureSpace:
+        """X (x) J as a space, built once for the witness checks."""
+        return product(self.X, self._interval, self.kind)
 
     def _edge_relation(self):
         """Row and column masks of E: E[u, v] iff v(x') is in the closure
@@ -238,12 +245,10 @@ def _j1_times_one_step(f: ContinuousMap, g: ContinuousMap) -> bool:
     return True
 
 
-def _verify_literal(X, Y, J: IntervalSpec, kind: ProductKind, maps) -> bool:
+def _verify_literal(graph: MapGraph, maps) -> bool:
     """Check the assembled H on the literal product space."""
-    Jsp = interval(J)
-    XJ = product(X, Jsp, kind)
-    H = {(x, i): maps[i][x] for x in X.points for i in Jsp.points}
-    return is_continuous(H, XJ, Y)
+    H = {(x, i): maps[i][x] for x in graph.X.points for i in graph._interval.points}
+    return is_continuous(H, graph._literal_product, graph.Y)
 
 
 def one_step_homotopic(f: ContinuousMap, g: ContinuousMap, J: IntervalSpec,
@@ -271,7 +276,7 @@ def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
     slots = next(homomorphisms(graph._j_relation, graph._edge_masks,
                                {0: 1 << a, graph.J.m: 1 << b}))
     maps = tuple(_as_mapping(graph.X, graph.Y, graph.maps[s]) for s in slots)
-    if not _verify_literal(graph.X, graph.Y, graph.J, graph.kind, maps):
+    if not _verify_literal(graph, maps):
         raise AssertionError("one-step witness is not continuous on X (x) J")
     return OneStepWitness(maps=maps, forward=forward)
 

@@ -148,7 +148,7 @@ def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
     size = max_dim + 2
     births = {}
     if construction == "vr":
-        later = [[j for j in sorted(row) if j > i and i in rows[j]]
+        later = [sum(1 << j for j in row if j > i and i in rows[j])
                  for i, row in enumerate(rows)]
         for s in cliques(later, size):
             births[s] = (rows[s[0]][s[0]] if len(s) == 1 else

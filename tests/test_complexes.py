@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from closuretop import (BadParameter, ContinuousMap, Hypergraph, ParseError,
-                        SimplicialComplex, SimplicialMap, build_space, cech,
-                        complex_from_text, complex_to_text, contiguous,
-                        cosk1, cosk_inf, dc, g_functor, gamma,
+from closuretop import (BadParameter, ContinuousMap, Hypergraph, MissingPoint,
+                        ParseError, SimplicialComplex, SimplicialMap,
+                        build_space, cech, complex_from_text, complex_to_text,
+                        contiguous, cosk1, cosk_inf, dc, g_functor, gamma,
                         is_continuous, is_hypergraph_map, is_simplicial,
                         symmetrize, tr1, tr_inf, vr)
+from closuretop.complexes import cliques
 from conftest import all_spaces, rand_space
 
 
@@ -45,6 +46,24 @@ def test_vr_is_clique_complex_of_mutual_relation():
         assert K.simplices == frozenset(expected)
 
 
+def test_cliques_against_combinations():
+    """Cliques by size, then lexicographically, against every subset."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        p = rng.choice([0.2, 0.5, 0.8])
+        edges = {(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if rng.random() < p}
+        later = [sum(1 << j for j in range(i + 1, n) if (i, j) in edges)
+                 for i in range(n)]
+        for max_size in (None, 0, 1, 2, 3):
+            top = n if max_size is None else min(n, max_size)
+            expected = [c for r in range(1, top + 1)
+                        for c in itertools.combinations(range(n), r)
+                        if all(e in edges for e in itertools.combinations(c, 2))]
+            assert list(cliques(later, max_size)) == expected
+
+
 def test_cech_brute_force_oracle():
     rng = random.Random(4)
     for _ in range(20):
@@ -64,6 +83,23 @@ def test_simplicial_complex_validation():
                           fs({"a"}, {"b"}, {"c"}, {"a", "b", "c"}))
     with pytest.raises(BadParameter):
         SimplicialComplex(["a", "b"], fs({"a"}, {"a", "b"}))  # missing {b}
+
+
+def test_hypergraph_and_map_validation():
+    with pytest.raises(BadParameter):
+        Hypergraph(["a", "b"], [set()])
+    with pytest.raises(MissingPoint):
+        Hypergraph(["a", "b"], [{"a", "c"}])
+    with pytest.raises(BadParameter):
+        Hypergraph(["a", "a"], [{"a"}])
+    H = Hypergraph(["a", "b"], fs({"a", "b"}))
+    K = complex_from_text("a b\n", close_downward=True)
+    for check, A in ((is_hypergraph_map, H), (is_simplicial, K)):
+        assert check({"a": "b", "b": "a"}, A, A)
+        with pytest.raises(MissingPoint):
+            check({"a": "a"}, A, A)  # undefined at b
+        with pytest.raises(MissingPoint):
+            check({"a": "a", "b": "z"}, A, A)  # z is not a target point
 
 
 def test_hypergraph_downward_closure():
@@ -97,6 +133,13 @@ def test_g_functor_and_tr1():
     assert T.closure_map["a"] == frozenset({"a", "b", "c"})
     # cosk1 of the triangle graph restores the solid triangle
     assert cosk1(T) == K
+    # downward closure makes the union of the simplices at x that of
+    # the edges at x
+    rng = random.Random(8)
+    for _ in range(30):
+        X = rand_space(rng, rng.randint(1, 6))
+        for L in (vr(X), cech(X)):
+            assert g_functor(L) == tr1(L)
 
 
 def test_cosk_inf_fills_boundaries_iteratively():
@@ -218,3 +261,19 @@ def test_complex_text_roundtrip():
         complex_from_text("")
     with pytest.raises(ParseError):
         complex_from_text("a a b\n")
+
+
+def test_complex_text_reads_back_vr_and_cech_output():
+    """Each point is one token: a tuple as its compact JSON list."""
+    X = build_space([(0, 1), (2, 3)], {(0, 1): {(0, 1), (2, 3)},
+                                       (2, 3): {(0, 1), (2, 3)}})
+    for K in (vr(X), cech(X)):
+        text = complex_to_text(K)
+        assert text == "[0,1]\n[2,3]\n[0,1] [2,3]\n"
+        back = complex_from_text(text)
+        assert len(back.points) == 2 and len(back.simplices) == 3
+    # a point id holding whitespace, or read as a comment, has no token
+    for bad in ("a b", "#a"):
+        Y = build_space([bad, "c"], {bad: {bad, "c"}, "c": {"c"}})
+        with pytest.raises(BadParameter):
+            complex_to_text(cech(Y))

@@ -75,6 +75,19 @@ def test_filtered_simplices_first_appearance():
         persistence_complex(F, "cech", max_dim=-1)
 
 
+def test_filtered_simplices_vr_thirty_point_births():
+    """VR births up to triangles read straight off the distances: a
+    simplex is born at its largest pairwise distance."""
+    M = rand_metric(random.Random(30), 30)
+    births = {(x,): 0 for x in M.points}
+    for r in (2, 3):
+        for s in itertools.combinations(M.points, r):
+            births[s] = max(M.dist[p] for p in itertools.combinations(s, 2))
+    expected = sorted(((b, tuple(sorted(s, key=repr))) for s, b in births.items()),
+                      key=lambda bs: (bs[0], len(bs[1]), tuple(map(repr, bs[1]))))
+    assert filtered_simplices(filtered_from_metric(M), "vr", 1) == expected
+
+
 def _stage_by_stage_simplices(F, construction, max_dim):
     """Reference: build the whole complex of every stage, keep first appearances."""
     build = vr if construction == "vr" else cech
