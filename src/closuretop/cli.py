@@ -19,7 +19,7 @@ from .filtrations import (Decoration, filtered_from_metric,
                           filtered_from_sublevel,
                           filtered_from_weighted_digraph, metric_from_csv,
                           digraph_from_text, sublevel_from_csv)
-from .homology import (homology, parse_coefficients, parse_theory,
+from .homology import (homology_groups, parse_coefficients, parse_theory,
                        singular_chain_complex)
 from .homotopy import HomotopyQuery, homotopic
 from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
@@ -143,8 +143,8 @@ def cmd_homology(args) -> int:
     X = load_space(args.space)
     theory = parse_theory(args.theory)
     C = singular_chain_complex(X, theory, args.max_dim + 1, cap=args.cap)
-    groups = {n: homology(C, n, coefficients=args.coeffs, reduced=args.reduced)
-              for n in range(args.max_dim + 1)}
+    groups = homology_groups(C, range(args.max_dim + 1),
+                             coefficients=args.coeffs, reduced=args.reduced)
     if args.json:
         out = {"theory": args.theory, "coefficients": args.coeffs,
                "reduced": args.reduced,

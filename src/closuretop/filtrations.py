@@ -27,10 +27,18 @@ EMPTY_SPACE = FiniteClosureSpace([], {})
 
 def parse_number(text):
     """Parse a decimal or rational literal into an exact Fraction."""
+    t = text.strip()
+    if t.isascii() and t.isdigit():
+        return Fraction(int(t))
     try:
-        return Fraction(text.strip())
+        return Fraction(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a number: {text!r}") from exc
+
+
+def _exact(v):
+    """v as an exact number: ints and Fractions as they are."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 class FiniteMetric:
@@ -50,7 +58,7 @@ class FiniteMetric:
                 d[(x, y)] = dist[(x, y)]
         # exact integer rows: each distance times the lcm of the denominators
         try:
-            exact = [[Fraction(d[(x, y)]) for y in pts] for x in pts]
+            exact = [[_exact(d[(x, y)]) for y in pts] for x in pts]
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadParameter(f"distances must be finite numbers: {exc}") from exc
         scale = math.lcm(*(v.denominator for row in exact for v in row))

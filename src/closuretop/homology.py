@@ -14,7 +14,9 @@ invariant factors, and a field reduction gives bases and induced maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from operator import itemgetter
 
 from ._linalg import (FieldReducer, PrimeField, RationalField,
                       integer_kernel_basis, rank_and_invariants, smith)
@@ -101,15 +103,32 @@ def cube_face(values, n, i, bit):
     return tuple(out)
 
 
+@cache
+def _cube_face_getters(n):
+    """Per coordinate i = 1 .. n: (-1)^i and the getters of its 0- and
+    1-faces, built from the face formula applied to the index table."""
+    indices = tuple(range(1 << n))
+    out = []
+    for i in range(1, n + 1):
+        getters = []
+        for bit in (0, 1):
+            face = cube_face(indices, n, i, bit)
+            if n == 1:  # itemgetter of one index returns the bare item
+                getters.append(lambda table, k=face[0]: (table[k],))
+            else:
+                getters.append(itemgetter(*face))
+        out.append(((-1) ** i, *getters))
+    return tuple(out)
+
+
 def _cube_faces(table, n):
     """The 2n signed faces of an n-cube table; None if it is degenerate."""
     out = []
-    for i in range(1, n + 1):
-        low = cube_face(table, n, i, 0)
-        high = cube_face(table, n, i, 1)
+    for sign, low_of, high_of in _cube_face_getters(n):
+        low = low_of(table)
+        high = high_of(table)
         if low == high:
             return None
-        sign = (-1) ** i
         out += ((low, sign), (high, -sign))
     return out
 
@@ -337,24 +356,37 @@ def _lower_boundary_data(C: ChainComplex, n: int, reduced: bool):
     return 0, [{} for _ in range(C.dim(0))]
 
 
-def homology(C: ChainComplex, n: int, coefficients: str = "z",
-             reduced: bool = False) -> HomologyGroup:
-    """The degree-n homology of a chain complex built at least to n+1.
+def homology_groups(C: ChainComplex, degrees, coefficients: str = "z",
+                    reduced: bool = False) -> dict:
+    """{n: H_n} for each n in degrees, of a complex built at least to
+    max(degrees) + 1; each boundary map is eliminated once.
 
     Over F_p a map's rank counts its invariant factors prime to p."""
     kind, p = parse_coefficients(coefficients)
-    if n < 0:
-        raise DegreeOutOfRange("negative degree")
-    if n + 1 > C.top:
-        raise DegreeOutOfRange(
-            f"degree {n} needs the complex built to {n + 1}, have {C.top}")
-    dim_n = C.dim(n)
-    invs_low = rank_and_invariants(*_lower_boundary_data(C, n, reduced))[1]
-    invs_high = rank_and_invariants(dim_n, C.boundary_columns(n + 1))[1]
-    betti = dim_n - sum(1 for d in invs_low + invs_high
-                        if kind != "f" or d % p)
-    torsion = tuple(sorted(d for d in invs_high if d > 1)) if kind == "z" else ()
-    return HomologyGroup(betti, torsion, f"{kind}{p or ''}")
+    degrees = list(degrees)
+    for n in degrees:
+        if n < 0:
+            raise DegreeOutOfRange("negative degree")
+        if n + 1 > C.top:
+            raise DegreeOutOfRange(
+                f"degree {n} needs the complex built to {n + 1}, have {C.top}")
+    # invs[m]: invariant factors of the map out of degree m
+    invs = {m: rank_and_invariants(*_lower_boundary_data(C, m, reduced))[1]
+            for m in sorted({m for n in degrees for m in (n, n + 1)})}
+    groups = {}
+    for n in degrees:
+        betti = C.dim(n) - sum(1 for d in invs[n] + invs[n + 1]
+                               if kind != "f" or d % p)
+        torsion = (tuple(sorted(d for d in invs[n + 1] if d > 1))
+                   if kind == "z" else ())
+        groups[n] = HomologyGroup(betti, torsion, f"{kind}{p or ''}")
+    return groups
+
+
+def homology(C: ChainComplex, n: int, coefficients: str = "z",
+             reduced: bool = False) -> HomologyGroup:
+    """The degree-n homology of a chain complex built at least to n+1."""
+    return homology_groups(C, [n], coefficients, reduced)[n]
 
 
 def singular_homology(X: FiniteClosureSpace, theory: Theory, n: int,

@@ -1,11 +1,19 @@
 """Command-line interface: outputs, files, exit codes."""
+import importlib
 import json
+import random
 
 import pytest
 
 from closuretop import build_space, space_to_json
 from closuretop import cli
 from closuretop.cli import main
+from closuretop.homology import (homology, parse_theory,
+                                 singular_chain_complex)
+from conftest import rand_space
+
+# the package exports the function homology under the module's name
+homology_mod = importlib.import_module("closuretop.homology")
 
 SQUARE_CSV = ("a,b,c,d\n"
               "0,1,2,1\n"
@@ -47,6 +55,39 @@ def test_homology_json_output(space_path, capsys):
     assert obj["arithmetic"] == "exact-mod-2"
     assert main(["homology", space_path, "--coeffs", "z", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["arithmetic"] == "exact-integer"
+
+
+def test_homology_eliminates_each_boundary_map_once(tmp_path, monkeypatch,
+                                                    capsys):
+    # --max-dim 2: the degree-0 map and d_1, d_2, d_3, one call each; the
+    # groups equal those of per-degree homology(C, n)
+    calls = []
+    rank_and_invariants = homology_mod.rank_and_invariants
+
+    def counted(n_rows, cols):
+        calls.append(len(cols))
+        return rank_and_invariants(n_rows, cols)
+
+    monkeypatch.setattr(homology_mod, "rank_and_invariants", counted)
+    rng = random.Random(211)
+    path = tmp_path / "s.json"
+    for _ in range(30):
+        X = rand_space(rng, rng.choice((1, 2, 3, 3, 4)), p=0.3)
+        path.write_text(space_to_json(X))
+        for theory in ("j1-times", "j1-box", "jplus-times", "jplus-box"):
+            C = singular_chain_complex(X, parse_theory(theory), 3)
+            for coeffs in ("z", "q", "f2", "f3"):
+                for reduced in (False, True):
+                    argv = ["homology", str(path), "--theory", theory,
+                            "--max-dim", "2", "--coeffs", coeffs, "--json"]
+                    calls.clear()
+                    assert main(argv + ["--reduced"] * reduced) == 0
+                    assert len(calls) == 4
+                    got = json.loads(capsys.readouterr().out)["homology"]
+                    for n in range(3):
+                        g = homology(C, n, coeffs, reduced)
+                        assert got[str(n)] == {"rank": g.rank,
+                                               "torsion": list(g.torsion)}
 
 
 def test_persist_text_json_and_files(square_path, tmp_path, capsys):

@@ -25,8 +25,9 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
 from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
                                 _is_prime, integer_kernel_basis,
                                 rank_and_invariants, smith)
-from closuretop.homology import (_cube_vertex_relation, chain_map_columns,
-                                 cube_degenerate, cube_face, enumerate_cubes,
+from closuretop.homology import (_cube_faces, _cube_vertex_relation,
+                                 chain_map_columns, cube_degenerate,
+                                 cube_face, enumerate_cubes,
                                  enumerate_simplices, induced_map_between)
 from conftest import rand_space
 
@@ -241,6 +242,29 @@ def test_cube_faces_commute():
                     left = cube_face(cube_face(vals, n, i, a), n - 1, j, b)
                     right = cube_face(cube_face(vals, n, j + 1, b), n - 1, i, a)
                     assert left == right
+
+
+def test_cube_faces_against_literal_definition():
+    # _cube_faces reads faces off index tables; cube_face is the formula
+    rng = random.Random(97)
+    for n in range(1, 6):
+        size = 1 << n
+        tables = [tuple(rng.randrange(3) for _ in range(size))
+                  for _ in range(40)]
+        for i in range(1, n + 1):  # ignore coordinate i
+            for _ in range(5):
+                base = [rng.randrange(4) for _ in range(size)]
+                tables.append(tuple(base[u & ~(1 << (n - i))]
+                                    for u in range(size)))
+        for t in tables:
+            ignored = any(cube_face(t, n, i, 0) == cube_face(t, n, i, 1)
+                          for i in range(1, n + 1))
+            got = _cube_faces(t, n)
+            if ignored:
+                assert got is None
+            else:
+                assert got == _literal_cube_faces(t, n)
+                assert all(isinstance(face, tuple) for face, _ in got)
 
 
 def test_degeneracy_detection():
