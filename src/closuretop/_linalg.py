@@ -1,11 +1,9 @@
 """Exact linear algebra used by the homology and persistence modules.
 
-Over the integers, ``smith`` is the one Smith reduction: a dense
-matrix over Python ints, with its row transform.  ``rank_and_invariants``
-first eliminates unit pivots, which cover almost all of a boundary
-matrix, by sparse column operations over Python ints, and hands the
-small residue to ``smith``; its invariant factors give homology over Z,
-Q and every F_p.  ``integer_kernel_basis`` gives integer kernel lattices.
+Over the integers, ``_eliminate`` is the one column elimination, sparse
+over Python ints, by unit pivots and Euclid steps; as in Dumas, Saunders
+and Villard (2001), ``smith`` reduces the small residue densely.  They
+give invariant factors over Z, Q and every F_p, and cycle lattices.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
@@ -18,28 +16,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rank_and_invariants(n_rows, columns):
-    """Rank and invariant factors of an integer matrix given as sparse columns.
-
-    columns is an iterable of {row_index: coefficient} dicts over
-    n_rows rows, of which only those with entries matter.  A column
-    with a unit entry at row r is removed with row r, after every other
-    column with an entry in row r takes the multiple of it that clears
-    that entry; each removal is one invariant factor 1.  The residue
-    without unit entries goes through ``smith``.
-    """
+def _eliminate(columns):
+    """Unimodular elimination on {key: coefficient} columns whose rows are
+    the keys >= 0.  A free column, one owning no row, with a unit entry is
+    removed with its row after clearing it in the others; with none left,
+    Euclid steps clear a row free columns share down to one, which owns it
+    unless its entry is a unit: pivots still clear it, but it takes no
+    steps.  Returns the count removed and {index: column} of the rest,
+    independent if nonzero."""
     cols = dict(enumerate({r: c for r, c in col.items() if c}
                           for col in columns))
-    at_row = {}  # row -> the columns with an entry there
+    owned = set()  # columns that own a row: pivots still clear them
+    at_row = {}  # key -> the columns with an entry there
     for j, col in cols.items():
         for r in col:
             at_row.setdefault(r, set()).add(j)
-    ones, before = 0, None
-    while ones != before:
+    ones = 0
+    while True:
         before = ones
-        for j in list(cols):
+        for j in [j for j in cols if j not in owned]:
             col = cols[j]
-            r = next((r for r, c in col.items() if c in (1, -1)), None)
+            r = next((r for r, c in col.items()
+                      if c in (1, -1) and r >= 0), None)
             if r is None:
                 continue
             del cols[j]
@@ -58,6 +56,36 @@ def rank_and_invariants(n_rows, columns):
                         del other[s]
                         at_row[s].discard(k)
             ones += 1
+        if ones != before:
+            continue
+        r = next((r for r, ks in at_row.items()
+                  if r >= 0 and len(ks - owned) > 1), None)
+        if r is None:
+            return ones, cols
+        while len(active := at_row[r] - owned) > 1:
+            j = min(active, key=lambda k: abs(cols[k][r]))
+            col = cols[j]
+            for k in active - {j}:
+                other = cols[k]
+                f = other[r] // col[r]
+                for s, c in col.items():
+                    v = other.get(s, 0) - f * c
+                    if v:
+                        other[s] = v
+                        at_row[s].add(k)
+                    else:
+                        del other[s]
+                        at_row[s].discard(k)
+        if col[r] not in (1, -1):
+            owned.add(j)
+
+
+def rank_and_invariants(n_rows, columns):
+    """Rank and invariant factors of an integer matrix given as sparse columns.
+
+    columns is an iterable of {row_index: coefficient} dicts over n_rows
+    rows; each removed column is a factor 1, and ``smith`` takes the rest."""
+    ones, cols = _eliminate(columns)
     live = [col for col in cols.values() if col]
     rows = sorted({r for col in live for r in col})
     rest = smith([[col.get(r, 0) for col in live] for r in rows])[0]
@@ -65,40 +93,12 @@ def rank_and_invariants(n_rows, columns):
 
 
 def integer_kernel_basis(n_rows, columns):
-    """A lattice basis of the integer kernel of a matrix given as sparse columns.
-
-    Returns a list of integer vectors (one per kernel generator), each
-    of length len(columns).  Column order matters; no dedup here.
-    """
-    n_cols = len(columns)
-    cols = [[0] * n_rows for _ in range(n_cols)]
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            cols[j][r] = c
-    T = [[1 if i == j else 0 for i in range(n_cols)] for j in range(n_cols)]
-    # T[j] tracks the combination of original columns giving cols[j]
-    used = [False] * n_cols
-    for r in range(n_rows):
-        active = [j for j in range(n_cols) if not used[j] and cols[j][r]]
-        if not active:
-            continue
-        while len(active) > 1 or any(
-                cols[j][r] % cols[active[0]][r] for j in active[1:]):
-            active.sort(key=lambda j: abs(cols[j][r]))
-            piv = active[0]
-            rest = []
-            for j in active[1:]:
-                q = cols[j][r] // cols[piv][r]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[piv])]
-                    T[j] = [a - q * b for a, b in zip(T[j], T[piv])]
-                if cols[j][r]:
-                    rest.append(j)
-            active = [piv] + rest
-            if not rest:
-                break
-        used[active[0]] = True
-    return [T[j] for j in range(n_cols) if all(v == 0 for v in cols[j])]
+    """A lattice basis, as sparse {column: coefficient} vectors, of the
+    integer kernel of a matrix given as sparse columns.  Column j carries
+    an entry 1 at key ~j < 0; the columns left with no row hold the basis."""
+    _, cols = _eliminate({**col, ~j: 1} for j, col in enumerate(columns))
+    return [{~s: c for s, c in col.items()}
+            for col in cols.values() if max(col) < 0]
 
 
 def smith(rows_in):

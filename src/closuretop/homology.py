@@ -402,8 +402,8 @@ def singular_homology(X: FiniteClosureSpace, theory: Theory, n: int,
 class IntegerHomologyBasis:
     """Generators and coordinates for homology with integer coefficients.
 
-    The cycles form a lattice with a basis from integer_kernel_basis; a
-    rational column reduction of that basis, each vector tagged with its
+    The cycles form a lattice with a sparse basis from integer_kernel_basis;
+    a rational column reduction of that basis, each vector tagged with its
     index, gives any cycle's lattice coordinates as the negated tag.
     The boundaries in those coordinates go through ``smith``.
     """
@@ -414,7 +414,7 @@ class IntegerHomologyBasis:
         k = len(kernel)
         self._lattice = FieldReducer(RationalField())
         for r, z in enumerate(kernel):
-            self._lattice.add(dict(enumerate(z)), {r: 1})
+            self._lattice.add(z, {r: 1})
         rel_cols = []
         for b in C.boundary_columns(n + 1):
             a = self._lattice_coords(b)
@@ -433,8 +433,8 @@ class IntegerHomologyBasis:
             vec = [0] * dim_n
             for r in range(k):
                 if Uinv[r][i]:
-                    for t in range(dim_n):
-                        vec[t] += Uinv[r][i] * kernel[r][t]
+                    for t, c in kernel[r].items():
+                        vec[t] += Uinv[r][i] * c
             self.generators.append(vec)
 
     def _lattice_coords(self, chain):

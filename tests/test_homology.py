@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy import GF, QQ
+from sympy import GF, QQ, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
@@ -108,30 +108,63 @@ def test_field_rank_does_not_wrap_around_int64_for_large_primes():
     assert FieldReducer(PrimeField(p), cols).rank == 1
 
 
+def _unit_free_columns(rng, n_rows, n_cols, density=0.3):
+    """Sparse columns with entries +-2 .. +-6: no entry is a unit."""
+    return [{r: rng.choice((-1, 1)) * rng.randint(2, 6)
+             for r in range(n_rows) if rng.random() < density}
+            for _ in range(n_cols)]
+
+
+def _check_integer_kernel(rng, n_rows, cols):
+    # a lattice basis of the kernel, and the solver: the rational reducer
+    # over the basis gives a lattice vector's coordinates as its negated tag
+    n_cols = len(cols)
+    K = integer_kernel_basis(n_rows, cols)
+    A = DomainMatrix.from_list_sympy(n_rows, n_cols, _dense(cols, n_rows))
+    assert len(K) == n_cols - A.convert_to(QQ).rank()
+    for k in K:
+        for r in range(n_rows):
+            assert sum(c * cols[j].get(r, 0) for j, c in k.items()) == 0
+    if not K:
+        return
+    # a basis of the whole lattice, not of a sublattice such as 2K: every
+    # invariant factor is 1.  LLL changes the basis, not the lattice, and
+    # spares sympy's Smith form the large entries it makes on its own
+    rows = DomainMatrix([[k.get(j, 0) for j in range(n_cols)] for k in K],
+                        (len(K), n_cols), ZZ).lll()
+    D = smith_normal_form(rows.to_Matrix())
+    assert [abs(D[i, i]) for i in range(len(K))] == [1] * len(K)
+    lattice = FieldReducer(RationalField())
+    for i, k in enumerate(K):
+        assert lattice.add(k, {i: 1})[0]
+    coeffs = [rng.randint(-2, 2) for _ in K]
+    b = {}
+    for a, k in zip(coeffs, K):
+        for j, c in k.items():
+            b[j] = b.get(j, 0) + a * c
+    rest, tag = lattice.reduce(b, {})
+    assert rest == {}
+    assert [-tag.get(i, 0) for i in range(len(K))] == coeffs
+
+
 def test_integer_kernel_and_solver():
-    # the solver is the rational reducer over a kernel basis: the
-    # coordinates of a lattice vector are its negated tag
     rng = random.Random(79)
     for _ in range(30):
         n_rows = rng.randint(1, 5)
-        n_cols = rng.randint(1, 5)
-        cols = _rand_sparse_columns(rng, n_rows, n_cols)
-        K = integer_kernel_basis(n_rows, cols)
-        assert len(K) == n_cols - sympy.Matrix(_dense(cols, n_rows)).rank()
-        for k in K:
-            for r in range(n_rows):
-                assert sum(k[j] * cols[j].get(r, 0)
-                           for j in range(n_cols)) == 0
-        if K:
-            lattice = FieldReducer(RationalField())
-            for i, k in enumerate(K):
-                assert lattice.add(dict(enumerate(k)), {i: 1})[0]
-            coeffs = [rng.randint(-2, 2) for _ in K]
-            b = [sum(c * k[j] for c, k in zip(coeffs, K))
-                 for j in range(n_cols)]
-            rest, tag = lattice.reduce(dict(enumerate(b)), {})
-            assert rest == {}
-            assert [-tag.get(i, 0) for i in range(len(K))] == coeffs
+        cols = _rand_sparse_columns(rng, n_rows, rng.randint(1, 5))
+        _check_integer_kernel(rng, n_rows, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_integer_kernel_without_unit_entries(seed):
+    # no unit entry, so every column the elimination removes or keeps
+    # owes it to Euclid steps
+    rng = random.Random(seed)
+    n_rows = rng.randint(1, 12)
+    cols = _unit_free_columns(rng, n_rows, rng.randint(1, 40),
+                              density=rng.choice((0.2, 0.4)))
+    _check_integer_kernel(rng, n_rows, cols)
 
 
 def test_snf_row_transform_consistency():
@@ -195,9 +228,9 @@ def test_unit_pivot_fast_path_on_structured_matrix():
 
 
 def _sympy_invariants(cols, n_rows):
-    M = sympy.Matrix(_dense(cols, n_rows))
-    if not M.rank():
+    if not any(cols):
         return []
+    M = sympy.Matrix(_dense(cols, n_rows))
     D = smith_normal_form(M)
     return sorted(abs(D[i, i]) for i in range(min(M.shape)) if D[i, i] != 0)
 
@@ -224,6 +257,20 @@ def test_rank_and_invariants_large_entries_against_sympy(seed):
     expect = _sympy_invariants(cols, n_rows)
     assert rank == len(expect)
     assert sorted(invs) == expect
+
+
+def test_unit_free_invariants_against_sympy():
+    # smith sees only the residue Euclid steps leave; handed one whole
+    # unit-free 21x29 matrix, the dense reduction took minutes
+    rng = random.Random(131)
+    for n_rows, n_cols in [(2, 2), (4, 5), (7, 9), (11, 15), (16, 22),
+                           (21, 29), (26, 36)]:
+        for density in (0.3, 0.6):
+            cols = _unit_free_columns(rng, n_rows, n_cols, density)
+            rank, invs = rank_and_invariants(n_rows, cols)
+            expect = _sympy_invariants(cols, n_rows)
+            assert rank == len(expect)
+            assert sorted(invs) == expect
 
 
 # ---------------------------------------------------------------------------
