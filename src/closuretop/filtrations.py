@@ -217,6 +217,28 @@ def stage_at(F: FilteredClosureSpace, t) -> FiniteClosureSpace:
     return F.stage_at(t)
 
 
+def _ratio(v):
+    """v.as_integer_ratio(): equal for equal finite numbers of any type,
+    and hashed without Fraction.__hash__, which is slow."""
+    try:
+        return v.as_integer_ratio()
+    except AttributeError:  # rationals without the method, as numpy ints
+        return Fraction(v).as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinite weight keys as itself
+        return v
+
+
+def _grid_index(values):
+    """The sorted distinct values with 0 added, the first of equal values
+    standing for them as in a set, and {_ratio(t): index} on that grid."""
+    first = {}
+    for v in values:
+        first.setdefault(_ratio(v), v)
+    first.setdefault((0, 1), Fraction(0))
+    grid = sorted(first.values())
+    return grid, {_ratio(t): i for i, t in enumerate(grid)}
+
+
 def filtered_from_metric(M: FiniteMetric, dec: Decoration = Decoration.CLOSED) -> FilteredClosureSpace:
     """Filtration over the grid of pairwise distances (with 0 prepended).
 
@@ -227,12 +249,11 @@ def filtered_from_metric(M: FiniteMetric, dec: Decoration = Decoration.CLOSED) -
     differ from CLOSED only by the endpoint convention.  A pair at the
     largest distance never relates under MINUS.  Every point is born at 0.
     """
-    grid = sorted(set(M.dist.values()) | {0 * Fraction(1)})
-    index = {t: i for i, t in enumerate(grid)}
+    grid, index = _grid_index(M.dist.values())
     shift = 1 if dec is Decoration.MINUS else 0
     births = {x: {x: 0} for x in M.points}
     for (x, y), v in M.dist.items():
-        b = index[v] + shift
+        b = index[_ratio(v)] + shift
         if x != y and b < len(grid):
             births[x][y] = b
     return FilteredClosureSpace._from_births(grid, M.points, births)
@@ -266,11 +287,10 @@ def filtered_from_weighted_digraph(G: WeightedDigraph) -> FilteredClosureSpace:
 
     Every point is born at 0 and an edge at the index of its weight.
     """
-    grid = sorted(set(G.weights.values()) | {0 * Fraction(1)})
-    index = {t: i for i, t in enumerate(grid)}
+    grid, index = _grid_index(G.weights.values())
     births = {x: {x: 0} for x in G.points}
     for (x, y), v in G.weights.items():
-        births[x][y] = index[v]
+        births[x][y] = index[_ratio(v)]
     return FilteredClosureSpace._from_births(grid, G.points, births)
 
 

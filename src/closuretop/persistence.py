@@ -1,8 +1,8 @@
 """Persistence of filtered closure spaces.
 
-Diagrams come from two routes: column reduction of a filtered
-simplicial complex, and one elder-rule sweep along a tower of stage
-homology groups with inclusion-induced maps.  The module also provides
+Diagrams come from two routes: coboundary reduction with clearing of a
+filtered simplicial complex, and one elder-rule sweep along a tower of
+stage homology groups with inclusion-induced maps.  The module also provides
 the bottleneck distance, correspondence distortion with the derived
 Gromov-Hausdorff distance, and interleaving verification.  Tower maps
 act on sparse vectors: the sweep and the interleaving identities push
@@ -115,7 +115,7 @@ def load_diagram(path) -> PersistenceDiagram:
 
 
 # ---------------------------------------------------------------------------
-# route 1: filtered simplicial complex with column reduction
+# route 1: filtered simplicial complex with coboundary reduction
 
 def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
                        max_dim: int = 1):
@@ -166,33 +166,66 @@ def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
     return [(F.grid[b], tuple(points[i] for i in s)) for s, b in ordered]
 
 
+def _coboundary(s, points, at, index):
+    """The signed coboundary of the simplex s, keyed by minus the list
+    position of each coface: the coface with the new vertex at position
+    p, as in points' order, has coefficient (-1)^p.  Cofaces are looked
+    up in index, so those missing from the filtration are left out."""
+    col = {}
+    lo = 0
+    for p, hi in enumerate([at[x] for x in s] + [len(points)]):
+        for v in points[lo:hi]:
+            j = index.get(s[:p] + (v,) + s[p:])
+            if j is not None:
+                col[-j] = -1 if p & 1 else 1
+        lo = hi + 1
+    return col
+
+
 def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",
                         max_dim: int = 1, coefficients: str = "f2"):
-    """Persistence diagrams per degree via boundary-matrix reduction."""
+    """Persistence diagrams per degree via coboundary reduction with clearing.
+
+    Degree by degree from 0 up, the coboundaries of the d-simplices are
+    added to one reducer in reverse filtration order, keyed by minus the
+    cofaces' list positions, so a column's pivot is its first coface in
+    the filtration order.  A column that reduces to pivot tau pairs its simplex with
+    tau; one that empties is an infinite bar.  A d-simplex that was a
+    pivot in degree d - 1 kills a class there and would only empty, so
+    its column is skipped (clearing).  Simplices of dimension
+    max_dim + 1 are rows only.  Persistent cohomology has the same pairs
+    as persistent homology over any field (de Silva, Morozov and
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011);
+    see also Bauer, "Ripser", arXiv:1908.02518.  Bars of length zero are
+    dropped.
+    """
     field = _field_from_spec(coefficients)
     simplices = filtered_simplices(F, construction, max_dim)
     index = {s: i for i, (_, s) in enumerate(simplices)}
-    reducer = FieldReducer(field)
-    pairs = {d: [] for d in range(max_dim + 1)}
-    unpaired = set()
-    for j, (death, s) in enumerate(simplices):
-        col = ({index[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
-               if len(s) > 1 else {})
-        rest, _ = reducer.add(col)
-        if not rest:
-            unpaired.add(j)
-            continue
-        low = max(rest)
-        unpaired.discard(low)
-        birth, face = simplices[low]
-        if birth != death and len(face) - 1 <= max_dim:
-            pairs[len(face) - 1].append((birth, death))
-    for j in unpaired:
-        deg = len(simplices[j][1]) - 1
-        if deg <= max_dim:
-            pairs[deg].append((simplices[j][0], None))
-    return {d: PersistenceDiagram(d, tuple(pairs[d]))
-            for d in range(max_dim + 1)}
+    # the vertex order of the simplices, as filtered_simplices sorts them
+    points = sorted(F.points, key=repr)
+    at = {x: i for i, x in enumerate(points)}
+    diagrams = {}
+    cleared = set()
+    for d in range(max_dim + 1):
+        reducer = FieldReducer(field)
+        pairs = []
+        paired = set()
+        for i in range(len(simplices) - 1, -1, -1):
+            birth, s = simplices[i]
+            if len(s) != d + 1 or i in cleared:
+                continue
+            col, _ = reducer.add(_coboundary(s, points, at, index))
+            if not col:
+                pairs.append((birth, None))
+                continue
+            j = -max(col)
+            paired.add(j)
+            if birth != simplices[j][0]:
+                pairs.append((birth, simplices[j][0]))
+        cleared = paired
+        diagrams[d] = PersistenceDiagram(d, tuple(pairs))
+    return diagrams
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +386,16 @@ def _augment(adj, match_right, root):
     return False
 
 
-def _bipartite_feasible(dist, half1, half2, eps):
-    """Perfect matching of bars and diagonal copies within eps."""
+def _bipartite_feasible(dist, ranked, half1, half2, eps):
+    """Perfect matching of bars and diagonal copies within eps; ranked[i]
+    holds the bars2 indices sorted by their distance from bar i."""
     n1, n2 = len(half1), len(half2)
     size = n1 + n2
     # left: bars1 then the diagonal copies of bars2; right: bars2 then
     # the diagonal copies of bars1
-    adj = [[j for j, d in enumerate(row) if d <= eps]
+    adj = [near[:bisect_right(near, eps, key=row.__getitem__)]
            + ([n2 + i] if half1[i] <= eps else [])
-           for i, row in enumerate(dist)]
+           for i, (row, near) in enumerate(zip(dist, ranked))]
     copies1 = list(range(n2, size))
     adj += [([j] if half2[j] <= eps else []) + copies1 for j in range(n2)]
     match_right = [-1] * size
@@ -418,9 +452,11 @@ def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
     half2 = [(d - b) // 2 for b, d in bars2]
     dist = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in bars2]
             for b, d in bars1]
+    ranked = [sorted(range(len(bars2)), key=row.__getitem__) for row in dist]
     cands = sorted({0, *half1, *half2, *(x for row in dist for x in row)})
     least = _least_feasible(
-        cands, lambda eps: _bipartite_feasible(dist, half1, half2, eps))
+        cands,
+        lambda eps: _bipartite_feasible(dist, ranked, half1, half2, eps))
     return max(inf_cost, Fraction(least, scale))
 
 

@@ -207,6 +207,39 @@ def test_digraph_filtration_keeps_loops_and_thresholds_edges():
     assert F.stages[2].closure_map["b"] == frozenset({"a", "b"})
 
 
+def test_grid_keeps_the_first_of_equal_values_with_its_type():
+    """Equal numbers of different types share one grid value, the first
+    one given, as a set of the values keeps it; an infinite weight is a
+    grid value too."""
+    pts = ["a", "b", "c"]
+    dist = {("a", "a"): 0, ("b", "b"): 0.0, ("c", "c"): Fraction(0),
+            ("a", "b"): 1, ("b", "a"): Fraction(1),
+            ("a", "c"): 1.5, ("c", "a"): Fraction(3, 2),
+            ("b", "c"): Fraction(1, 2), ("c", "b"): 0.5}
+    M = FiniteMetric(pts, dist)
+    want = sorted(set(M.dist.values()) | {Fraction(0)})
+    for dec in Decoration:
+        F = filtered_from_metric(M, dec)
+        assert [(type(t), t) for t in F.grid] == [(type(t), t) for t in want]
+    assert filtered_from_metric(M).births["c"] == {"c": 0, "a": 3, "b": 1}
+    G = WeightedDigraph(pts, {("a", "b"): 2.0, ("b", "a"): 2,
+                              ("b", "c"): float("inf")})
+    F = filtered_from_weighted_digraph(G)
+    assert [(type(t), t) for t in F.grid] == [
+        (Fraction, 0), (float, 2.0), (float, float("inf"))]
+    assert F.births["a"]["b"] == F.births["b"]["a"] == 1
+    assert F.births["b"]["c"] == 2
+
+
+def test_grid_of_numpy_integers():
+    np = pytest.importorskip("numpy")
+    M = FiniteMetric(["a", "b"], {("a", "a"): np.int64(0), ("b", "b"): 0,
+                                  ("a", "b"): np.int64(3),
+                                  ("b", "a"): Fraction(3)})
+    F = filtered_from_metric(M)
+    assert F.grid == (0, 3) and F.births["b"] == {"b": 0, "a": 1}
+
+
 # ---------------------------------------------------------------------------
 # the pair-birth table against the per-stage constructions
 

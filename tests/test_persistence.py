@@ -21,7 +21,7 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         metric_from_matrix, persistence_complex,
                         persistence_tower, singular_chain_complex,
                         tower_to_diagram, verify_interleaving, vr)
-from closuretop._linalg import PrimeField, RationalField
+from closuretop._linalg import FieldReducer, PrimeField, RationalField
 from closuretop.persistence import Tower, _pair_term
 from conftest import rand_metric, rand_space
 
@@ -232,16 +232,67 @@ def test_eighty_point_generic_metric():
         _union_find_diagram(pts, edges).as_multiset()
 
 
+FIELDS = {"f2": PrimeField(2), "f3": PrimeField(3), "q": RationalField()}
+
+
+def _boundary_reduction_diagrams(F, construction, max_dim, coefficients):
+    """Reference: reduce the boundary column of every simplex up to
+    max_dim + 1 in filtration order; the lowest row of a column that
+    stays nonzero is the simplex its simplex kills."""
+    simplices = filtered_simplices(F, construction, max_dim)
+    index = {s: i for i, (_, s) in enumerate(simplices)}
+    reducer = FieldReducer(FIELDS[coefficients])
+    pairs = {d: [] for d in range(max_dim + 1)}
+    unpaired = set()
+    for j, (death, s) in enumerate(simplices):
+        col = ({index[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
+               if len(s) > 1 else {})
+        rest, _ = reducer.add(col)
+        if not rest:
+            unpaired.add(j)
+            continue
+        low = max(rest)
+        unpaired.discard(low)
+        birth, face = simplices[low]
+        if birth != death and len(face) - 1 <= max_dim:
+            pairs[len(face) - 1].append((birth, death))
+    for j in unpaired:
+        deg = len(simplices[j][1]) - 1
+        if deg <= max_dim:
+            pairs[deg].append((simplices[j][0], None))
+    return {d: PersistenceDiagram(d, tuple(pairs[d]))
+            for d in range(max_dim + 1)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["metric", "digraph",
+                                                  "sublevel"]),
+       st.sampled_from(["vr", "cech"]), st.integers(0, 2),
+       st.sampled_from(sorted(FIELDS)))
+def test_coboundary_reduction_matches_boundary_reduction(
+        seed, kind, construction, max_dim, coefficients):
+    F = _rand_filtration(random.Random(seed), kind)
+    got = persistence_complex(F, construction, max_dim, coefficients)
+    want = _boundary_reduction_diagrams(F, construction, max_dim,
+                                        coefficients)
+    assert ({d: D.as_multiset() for d, D in got.items()}
+            == {d: D.as_multiset() for d, D in want.items()})
+
+
 def test_tower_diagram_matches_matrix_reduction():
     rng = random.Random(131)
-    for _ in range(10):
+    for n in range(12):
         M = rand_metric(rng, rng.randint(2, 5))
         F = filtered_from_metric(M)
-        reduced = persistence_complex(F, "vr", max_dim=1, coefficients="f2")
-        for deg in (0, 1):
-            T = persistence_tower(F, "complex-vr", deg, "f2")
-            D = tower_to_diagram(T)
-            assert D.as_multiset() == reduced[deg].as_multiset()
+        coefficients = ("f2", "q")[n % 2]
+        for construction in ("vr", "cech"):
+            reduced = persistence_complex(F, construction, max_dim=1,
+                                          coefficients=coefficients)
+            for deg in (0, 1):
+                T = persistence_tower(F, f"complex-{construction}", deg,
+                                      coefficients)
+                D = tower_to_diagram(T)
+                assert D.as_multiset() == reduced[deg].as_multiset()
 
 
 def test_tower_ranks_and_indexing():
@@ -402,15 +453,15 @@ def _rand_diagram(rng, degree=0, n_inf=0, max_bars=4):
     return PersistenceDiagram(degree, tuple(pairs))
 
 
-def _brute_force_bottleneck(A, B):
-    """Least worst cost over all matchings of bars and diagonal copies."""
+def _matching_costs(A, B):
+    """The cost of each edge of the matching problem, as a square table:
+    left bars of A then diagonal copies of B's bars, right bars of B
+    then diagonal copies of A's bars; with the cost of the infinite bars."""
     bars1 = [bd for bd in A.pairs if bd[1] is not None]
     bars2 = [bd for bd in B.pairs if bd[1] is not None]
     n1, n2 = len(bars1), len(bars2)
 
     def cost(i, j):
-        # left: bars1, then diagonal copies of bars2; right: bars2, then
-        # diagonal copies of bars1
         if i < n1 and j < n2:
             (b, d), (b2, d2) = bars1[i], bars2[j]
             return max(abs(b - b2), abs(d - d2))
@@ -420,11 +471,39 @@ def _brute_force_bottleneck(A, B):
             return (bars2[j][1] - bars2[j][0]) / 2 if i - n1 == j else INF
         return 0
 
-    best = min((max((cost(i, j) for i, j in enumerate(perm)), default=0)
-                for perm in itertools.permutations(range(n1 + n2))))
     inf1 = sorted(b for b, d in A.pairs if d is None)
     inf2 = sorted(b for b, d in B.pairs if d is None)
-    return max([best] + [abs(a - b) for a, b in zip(inf1, inf2)])
+    return ([[cost(i, j) for j in range(n1 + n2)] for i in range(n1 + n2)],
+            max((abs(a - b) for a, b in zip(inf1, inf2)), default=0))
+
+
+def _brute_force_bottleneck(A, B):
+    """Least worst cost over all matchings of bars and diagonal copies."""
+    costs, inf_cost = _matching_costs(A, B)
+    best = min((max((costs[i][j] for i, j in enumerate(perm)), default=0)
+                for perm in itertools.permutations(range(len(costs)))))
+    return max(best, inf_cost)
+
+
+def _scan_bottleneck(A, B):
+    """Least cost, scanned upward, at which a recursive augmenting-path
+    search over every edge within it matches all vertices."""
+    costs, inf_cost = _matching_costs(A, B)
+    size = len(costs)
+
+    def augment(i, eps, match, seen):
+        for j in range(size):
+            if costs[i][j] <= eps and j not in seen:
+                seen.add(j)
+                if j not in match or augment(match[j], eps, match, seen):
+                    match[j] = i
+                    return True
+        return False
+
+    for eps in sorted({0} | {c for row in costs for c in row} - {INF}):
+        match = {}
+        if all(augment(i, eps, match, set()) for i in range(size)):
+            return max(eps, inf_cost)
 
 
 def test_bottleneck_against_brute_force():
@@ -434,6 +513,17 @@ def test_bottleneck_against_brute_force():
         A = _rand_diagram(rng, n_inf=k, max_bars=3)
         B = _rand_diagram(rng, n_inf=k, max_bars=3)
         assert bottleneck(A, B) == _brute_force_bottleneck(A, B)
+
+
+def test_bottleneck_against_scan_with_ties():
+    """Diagrams of up to 14 bars on a small integer grid, so distances
+    tie often and some bars have length zero."""
+    rng = random.Random(151)
+    for _ in range(30):
+        k = rng.randint(0, 2)
+        A, B = (_rand_diagram(rng, n_inf=k, max_bars=rng.choice([6, 14]))
+                for _ in range(2))
+        assert bottleneck(A, B) == _scan_bottleneck(A, B)
 
 
 def test_bottleneck_is_a_pseudo_metric():
