@@ -391,18 +391,21 @@ class FieldReducer:
         return col, tag
 
     def add(self, col, tag=None):
-        """Reduce col and store it unless it empties.
+        """Reduce col and store it, scaled to 1 at its pivot, unless it empties.
 
         Returns the reduced column and tag; the column is empty when col
         was in the span of the stored columns, else its lowest row is
-        the new pivot.
+        the new pivot and the pair returned is the one stored, which the
+        caller must not change.
         """
         col, tag = self.reduce(col, tag)
         if col:
             F = self.field
             low = max(col)
-            inv = F.inv(col[low])
-            self.pivots[low] = (
-                {r: F.mul(inv, c) for r, c in col.items()},
-                tag and {g: F.mul(inv, c) for g, c in tag.items()})
+            if col[low] != F.one:
+                inv = F.inv(col[low])
+                for vec in (col, tag or {}):
+                    for k, c in vec.items():
+                        vec[k] = F.mul(inv, c)
+            self.pivots[low] = (col, tag)
         return col, tag

@@ -24,35 +24,14 @@ from .homology import (homology_groups, parse_coefficients, parse_theory,
 from .homotopy import HomotopyQuery, homotopic
 from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
                           gh_distance, load_diagram, persistence_complex)
-from .spaces import (ContinuousMap, IntervalSpec, IntervalFamily, ProductKind,
-                     _canon_point, load_space)
+from .spaces import (ContinuousMap, ProductKind, _canon_point, load_space,
+                     parse_interval)
 
 
 def _fmt(x) -> str:
     if x == math.inf:
         return "inf"
     return f"{float(x):.9f}"
-
-
-def _parse_interval(text: str) -> IntervalSpec:
-    """Interval names: j1, jplus, jminus, top:m, bot:m, plain:m, leq:m, bits:m:k."""
-    parts = text.strip().lower().split(":")
-    name = parts[0]
-    try:
-        if name == "j1" and len(parts) == 1:
-            return IntervalSpec(IntervalFamily.TOP, 1)
-        if name == "jplus" and len(parts) == 1:
-            return IntervalSpec(IntervalFamily.BITS, 1, 1)
-        if name == "jminus" and len(parts) == 1:
-            return IntervalSpec(IntervalFamily.BITS, 1, 0)
-        if name in ("top", "bot", "plain", "leq") and len(parts) == 2:
-            fam = IntervalFamily[name.upper()]
-            return IntervalSpec(fam, int(parts[1]))
-        if name == "bits" and len(parts) == 3:
-            return IntervalSpec(IntervalFamily.BITS, int(parts[1]), int(parts[2]))
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad interval {text!r}: {exc}") from exc
-    raise ParseError(f"unknown interval {text!r}")
 
 
 def _nonnegative(text: str) -> int:
@@ -235,7 +214,7 @@ def cmd_homotopic(args) -> int:
                                              X, Y, args.map1))
     g = ContinuousMap(X, Y, _resolve_mapping(_load_mapping(args.map2),
                                              X, Y, args.map2))
-    query = HomotopyQuery(interval=_parse_interval(args.interval),
+    query = HomotopyQuery(interval=parse_interval(args.interval),
                           product=ProductKind(args.product),
                           max_steps=args.max_steps, size_cap=args.cap)
     witness = homotopic(f, g, query)

@@ -1,8 +1,8 @@
 """Singular homology of finite closure spaces.
 
-Chains are generated by continuous maps out of interval powers: either
-cubes (tables of 2^n vertex values constrained by the chosen interval
-and product) or simplices (tuples constrained by the interval order).
+Chains are generated by continuous maps out of interval objects: cubes
+out of the n-fold power of the interval under the chosen product (tables
+of 2^n vertex values), simplices out of the interval on 0..n (tuples).
 One assembly builds these complexes and those of simplicial complexes:
 it lists the shapes of each degree, drops the degenerate ones, and
 counts a face outside the basis below as zero.  Each complex also keeps
@@ -23,7 +23,8 @@ from ._linalg import (FieldReducer, PrimeField, RationalField,
 from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
 from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
-                     closure_masks, homomorphisms)
+                     enumerate_continuous_maps, interval, j_leq, j_top,
+                     parse_interval, point_space, product_power)
 
 DEFAULT_CUBE_CAP = 6
 DEFAULT_SIMPLEX_CAP = 4
@@ -138,46 +139,40 @@ def cube_degenerate(values, n) -> bool:
     return _cube_faces(values, n) is None
 
 
-def _cube_vertex_relation(interval, kind, n):
-    """rel[u] lists, in increasing order, the vertices in the closure of u.
+@cache
+def _shape_source(theory: Theory, n: int) -> FiniteClosureSpace:
+    """The space that the theory's n-shapes are continuous maps out of.
 
-    j1 relates both ways and jplus only 0 to 1, so the product relates u
-    to every vertex, or under jplus to the supersets of its bits; the box
-    product to u and each vertex one flip away, under jplus a 0 -> 1 flip.
+    A cube's is the n-fold power of the interval under the theory's
+    product; its points come in table order, first coordinate most
+    significant.  A simplex's is the interval j_top(n) under j1 and
+    j_leq(n) under jplus, and one point at n = 0.
     """
-    size = 1 << n
-    if kind is ProductKind.PRODUCT:
-        if interval == "j1":
-            every = list(range(size))
-            return [every] * size
-        return [[v for v in range(u, size) if v & u == u] for u in range(size)]
-    return [sorted([u] + [u ^ (1 << b) for b in range(n)
-                          if interval == "j1" or not u >> b & 1])
-            for u in range(size)]
+    if theory.shape == "cube":
+        return product_power(interval(parse_interval(theory.interval)), n,
+                             theory.product)
+    if n == 0:
+        return point_space()
+    return interval(j_top(n) if theory.interval == "j1" else j_leq(n))
 
 
-def _maps_into(X: FiniteClosureSpace, src):
-    """Continuous maps from the relation src into X, as tuples of points."""
+def _maps_into(X: FiniteClosureSpace, S: FiniteClosureSpace):
+    """Continuous maps S -> X, as tuples of points of X."""
     pts = X.points
-    return [tuple(pts[i] for i in h)
-            for h in homomorphisms(src, closure_masks(X))]
+    return [tuple(pts[i] for i in h) for h in enumerate_continuous_maps(S, X)]
 
 
 def enumerate_cubes(X: FiniteClosureSpace, theory: Theory, n: int):
     """All continuous n-cube tables in lexicographic point order."""
-    return _maps_into(X, _cube_vertex_relation(theory.interval,
-                                               theory.product, n))
+    return _maps_into(X, _shape_source(theory, n))
 
 
 def enumerate_simplices(X: FiniteClosureSpace, theory: Theory, n: int):
     """All continuous (n+1)-tuples in lexicographic point order.
 
-    The ordered simplex relates a to b for a <= b, and both ways under j1.
     Normalized theories drop tuples with two equal consecutive entries.
     """
-    mutual = theory.interval == "j1"
-    tuples = _maps_into(X, [list(range(0 if mutual else a, n + 1))
-                            for a in range(n + 1)])
+    tuples = _maps_into(X, _shape_source(theory, n))
     if theory.normalized:
         tuples = [t for t in tuples if _normalized_image(t, n)]
     return tuples
@@ -189,16 +184,16 @@ def enumerate_simplices(X: FiniteClosureSpace, theory: Theory, n: int):
 class ChainComplex:
     """Basis elements per degree and integer boundary columns.
 
+    index[n] maps each basis element of degree n to its position.
     signed_shape(image, n) reads an n-shape of vertices mapped into this
     complex as a pair (basis element, sign), or None when it is zero.
     """
 
     __slots__ = ("basis", "index", "boundaries", "top", "signed_shape")
 
-    def __init__(self, basis, boundaries, top, signed_shape):
+    def __init__(self, basis, index, boundaries, top, signed_shape):
         self.basis = basis
-        self.index = {d: {b: i for i, b in enumerate(bs)}
-                      for d, bs in basis.items()}
+        self.index = index
         self.boundaries = boundaries
         self.top = top
         self.signed_shape = signed_shape
@@ -231,9 +226,10 @@ def _assemble(shapes, faces, top, signed_shape) -> ChainComplex:
     the complex's rule for images (see ChainComplex).
     """
     basis = {0: shapes(0)}
+    index = {0: {b: i for i, b in enumerate(basis[0])}}
     boundaries = {}
     for n in range(1, top + 1):
-        prev = {b: i for i, b in enumerate(basis[n - 1])}
+        prev = index[n - 1]
         basis[n] = kept = []
         boundaries[n] = cols = []
         for s in shapes(n):
@@ -247,7 +243,8 @@ def _assemble(shapes, faces, top, signed_shape) -> ChainComplex:
                     col[row] = col.get(row, 0) + sign
             kept.append(s)
             cols.append({r: c for r, c in col.items() if c})
-    return ChainComplex(basis, boundaries, top, signed_shape)
+        index[n] = {b: i for i, b in enumerate(kept)}
+    return ChainComplex(basis, index, boundaries, top, signed_shape)
 
 
 def _simplex_faces(tup, n):

@@ -13,7 +13,7 @@ literal product space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .errors import (BadParameter, BoundExceeded, CapExceeded,
@@ -25,6 +25,7 @@ from .spaces import (
     ProductKind,
     bits,
     closure_masks,
+    enumerate_continuous_maps,
     homomorphisms,
     interval,
     is_continuous,
@@ -75,15 +76,6 @@ class HomotopyWitness:
 def _require_parallel(f: ContinuousMap, g: ContinuousMap):
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("maps must share source and target")
-
-
-def enumerate_continuous_maps(X: FiniteClosureSpace, Y: FiniteClosureSpace):
-    """All continuous point mappings X -> Y, the homomorphisms of the relations.
-
-    Returned as tuples of target-point indices aligned with X.points,
-    in lexicographic order over Y's point order.
-    """
-    return list(homomorphisms(neighbour_lists(X), closure_masks(Y)))
 
 
 def _as_mapping(X, Y, tup):
@@ -229,22 +221,6 @@ class MapGraph:
         return None
 
 
-def _j1_times_one_step(f: ContinuousMap, g: ContinuousMap) -> bool:
-    """Closed form for one-step homotopy with the indiscrete pair and PRODUCT.
-
-    f and g are one-step homotopic iff for every x and x' in c(x) both
-    g(x') in c(f(x)) and f(x') in c(g(x)).
-    """
-    X, Y = f.source, f.target
-    for x in X.points:
-        cf = Y.closure_map[f.mapping[x]]
-        cg = Y.closure_map[g.mapping[x]]
-        for x2 in X.closure_map[x]:
-            if g.mapping[x2] not in cf or f.mapping[x2] not in cg:
-                return False
-    return True
-
-
 def _verify_literal(graph: MapGraph, maps) -> bool:
     """Check the assembled H on the literal product space."""
     H = {(x, i): maps[i][x] for x in graph.X.points for i in graph._interval.points}
@@ -322,9 +298,10 @@ def homotopy_equivalent(X: FiniteClosureSpace, Y: FiniteClosureSpace,
     graph_y = MapGraph(Y, Y, query.interval, query.product)
     bounded = False
 
+    @cache
     def to_identity(graph, t):
-        # the chain from the map t to the identity; None when there is none
-        # or the budget ran out first
+        # the chain from the round trip t to the identity, searched once per
+        # t; None when there is none or the budget ran out first
         nonlocal bounded
         identity = graph.index[tuple(range(len(t)))]
         try:

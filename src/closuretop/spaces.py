@@ -9,6 +9,7 @@ in this module works with that singleton representation.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -143,7 +144,13 @@ def is_continuous(mapping, X: FiniteClosureSpace, Y: FiniteClosureSpace) -> bool
 def neighbour_lists(X: FiniteClosureSpace):
     """Out-neighbour index lists of X's relation, the source form of homomorphisms."""
     idx = {x: i for i, x in enumerate(X.points)}
-    return [[idx[y] for y in X.closure_map[x]] for x in X.points]
+    # one sorted list per closure object: product powers share closures, and
+    # rows in index order keep the constraint set-up of homomorphisms fast
+    rows = {}
+    for c in X.closure_map.values():
+        if id(c) not in rows:
+            rows[id(c)] = sorted(idx[y] for y in c)
+    return [rows[id(X.closure_map[x])] for x in X.points]
 
 
 def closure_masks(X: FiniteClosureSpace):
@@ -219,6 +226,15 @@ def homomorphisms(src, tgt, domains=None):
         cand[i] = c ^ low
         h[order[i]] = low.bit_length() - 1
         i += 1
+
+
+def enumerate_continuous_maps(X: FiniteClosureSpace, Y: FiniteClosureSpace):
+    """All continuous point mappings X -> Y, the homomorphisms of the relations.
+
+    Returned as tuples of target-point indices aligned with X.points,
+    in lexicographic order over Y's point order.
+    """
+    return list(homomorphisms(neighbour_lists(X), closure_masks(Y)))
 
 
 class ContinuousMap:
@@ -364,11 +380,13 @@ def product_power(X: FiniteClosureSpace, n: int,
     for _ in range(n):
         pts = [t + (x,) for t in pts for x in X.points]
     cmap = {}
+    shared = {}  # PRODUCT: tuples with equal coordinate closures share one
     for t in pts:
         if kind is ProductKind.PRODUCT:
-            cl = [()]
-            for x in t:
-                cl = [s + (x2,) for s in cl for x2 in X.closure_map[x]]
+            key = tuple(X.closure_map[x] for x in t)
+            if key not in shared:
+                shared[key] = frozenset(itertools.product(*key))
+            cl = shared[key]
         else:
             cl = {t}
             for i, x in enumerate(t):
@@ -547,6 +565,28 @@ def j_plus() -> IntervalSpec:
 
 def j_minus() -> IntervalSpec:
     return IntervalSpec(IntervalFamily.BITS, 1, 0)
+
+
+_NAMED_INTERVALS = {"j1": j1, "jplus": j_plus, "jminus": j_minus}
+
+
+def parse_interval(text: str) -> IntervalSpec:
+    """Interval names: j1, jplus, jminus, top:m, bot:m, plain:m, leq:m, bits:m:k.
+
+    A malformed name raises ParseError; a well-formed one with an
+    out-of-range m or k raises BadParameter.
+    """
+    name, *args = text.strip().lower().split(":")
+    try:
+        if name in _NAMED_INTERVALS and not args:
+            return _NAMED_INTERVALS[name]()
+        if name in ("top", "bot", "plain", "leq") and len(args) == 1:
+            return IntervalSpec(IntervalFamily[name.upper()], int(args[0]))
+        if name == "bits" and len(args) == 2:
+            return IntervalSpec(IntervalFamily.BITS, int(args[0]), int(args[1]))
+    except ValueError as exc:
+        raise ParseError(f"bad interval {text!r}: {exc}") from exc
+    raise ParseError(f"unknown interval {text!r}")
 
 
 def local_base(X: FiniteClosureSpace, x) -> frozenset:

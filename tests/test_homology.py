@@ -25,10 +25,10 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
 from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
                                 _is_prime, integer_kernel_basis,
                                 rank_and_invariants, smith)
-from closuretop.homology import (_cube_faces, _cube_vertex_relation,
-                                 chain_map_columns, cube_degenerate,
-                                 cube_face, enumerate_cubes,
+from closuretop.homology import (_cube_faces, chain_map_columns,
+                                 cube_degenerate, cube_face, enumerate_cubes,
                                  enumerate_simplices, induced_map_between)
+from closuretop.spaces import parse_interval
 from conftest import rand_space
 
 
@@ -106,6 +106,22 @@ def test_field_rank_does_not_wrap_around_int64_for_large_primes():
     p = 4294967311
     cols = [{0: 1, 1: p - 2}, {0: p - 1, 1: (p - 1) * (p - 2) % p}]
     assert FieldReducer(PrimeField(p), cols).rank == 1
+
+
+def test_field_reducer_stores_the_returned_column_scaled_to_one():
+    rng = random.Random(127)
+    for F in (PrimeField(2), PrimeField(3), RationalField()):
+        reducer = FieldReducer(F)
+        for j, col in enumerate(_rand_sparse_columns(rng, 6, 12)):
+            tag = {j: 2, j + 1: -1}
+            before = dict(col), dict(tag)
+            rest, rest_tag = reducer.add(col, tag)
+            assert (col, tag) == before
+            if rest:
+                stored = reducer.pivots[max(rest)]
+                assert stored[0] is rest and stored[1] is rest_tag
+        for low, (stored, _) in reducer.pivots.items():
+            assert max(stored) == low and stored[low] == F.one
 
 
 def _unit_free_columns(rng, n_rows, n_cols, density=0.3):
@@ -337,7 +353,7 @@ def test_shape_enumerators_against_brute_force():
         X = rand_space(rng, size)
         for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
                    CUBE_JPLUS_BOX):
-            J = interval(j1() if th.interval == "j1" else j_plus())
+            J = interval(parse_interval(th.interval))
             for n in range(4):
                 assert enumerate_cubes(X, th, n) == _brute_force_maps(
                     product_power(J, n, th.product), X)
@@ -350,17 +366,6 @@ def test_shape_enumerators_against_brute_force():
                         if not th.normalized
                         or all(a != b for a, b in zip(t, t[1:]))]
                 assert enumerate_simplices(X, th, n) == want
-
-
-def test_cube_vertex_relation_is_the_power_closure():
-    # vertex u of the n-cube is the u-th tuple of product_power
-    for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES, CUBE_JPLUS_BOX):
-        J = interval(j1() if th.interval == "j1" else j_plus())
-        for n in range(6):
-            P = product_power(J, n, th.product)
-            at = {t: u for u, t in enumerate(P.points)}
-            want = [sorted(at[t] for t in P.closure_map[s]) for s in P.points]
-            assert _cube_vertex_relation(th.interval, th.product, n) == want
 
 
 def _literal_complex(shapes, signed_faces, degenerate, top):
@@ -395,7 +400,7 @@ def _literal_simplex_faces(tup, n):
 
 def _literal_singular(X, th, top):
     if th.shape == "cube":
-        J = interval(j1() if th.interval == "j1" else j_plus())
+        J = interval(parse_interval(th.interval))
         return _literal_complex(
             lambda n: _brute_force_maps(product_power(J, n, th.product), X),
             _literal_cube_faces,

@@ -8,7 +8,7 @@ from closuretop import (BoundExceeded, CapExceeded, ContinuousMap,
                         ProductKind, build_space, interval, is_continuous,
                         j1, j_bits, j_bot, j_leq, j_minus, j_plain, j_plus,
                         j_top, point_space, product)
-from closuretop.homotopy import (HomotopyQuery, MapGraph, _j1_times_one_step,
+from closuretop.homotopy import (HomotopyQuery, MapGraph,
                                  enumerate_continuous_maps, homotopic,
                                  homotopy_equivalent, is_contractible,
                                  one_step_homotopic)
@@ -102,6 +102,22 @@ def test_map_graph_edges_against_literal_oracle():
                 except BoundExceeded:
                     near = False
                 assert near == (edge[u][v] or edge[v][u])
+
+
+def _j1_times_one_step(f, g):
+    """Closed form for one-step homotopy with the indiscrete pair and PRODUCT.
+
+    f and g are one-step homotopic iff for every x and x' in c(x) both
+    g(x') in c(f(x)) and f(x') in c(g(x)).
+    """
+    X, Y = f.source, f.target
+    for x in X.points:
+        cf = Y.closure_map[f.mapping[x]]
+        cg = Y.closure_map[g.mapping[x]]
+        for x2 in X.closure_map[x]:
+            if g.mapping[x2] not in cf or f.mapping[x2] not in cg:
+                return False
+    return True
 
 
 def test_j1_times_closed_form_agrees_with_generic():
@@ -215,6 +231,64 @@ def test_homotopy_equivalence_interval_vs_point():
     # two-point discrete space is not equivalent to the point
     D = build_space(["a", "b"], {"a": {"a"}, "b": {"b"}})
     assert homotopy_equivalent(D, point_space(), q) is None
+
+
+def _equivalence_by_pairs(X, Y, query):
+    """homotopy_equivalent's answer from one chain search per pair (f, g):
+    (f, g, steps on X, steps on Y), None, or "bounded"."""
+    graphs = [MapGraph(Z, Z, query.interval, query.product) for Z in (X, Y)]
+    bounded = False
+
+    def steps(graph, t):
+        nonlocal bounded
+        identity = graph.index[tuple(range(len(t)))]
+        try:
+            chain = graph.find_chain(graph.index[t], identity, query.max_steps)
+        except BoundExceeded:
+            bounded = True
+            return None
+        return None if chain is None else len(chain) - 1
+
+    for ft in enumerate_continuous_maps(X, Y):
+        for gt in enumerate_continuous_maps(Y, X):
+            sx = steps(graphs[0], tuple(gt[i] for i in ft))
+            sy = None if sx is None else steps(graphs[1],
+                                               tuple(ft[i] for i in gt))
+            if sy is not None:
+                return (dict(zip(X.points, (Y.points[i] for i in ft))),
+                        dict(zip(Y.points, (X.points[i] for i in gt))), sx, sy)
+    return "bounded" if bounded else None
+
+
+def test_homotopy_equivalent_searches_each_round_trip_once(monkeypatch):
+    rng = random.Random(61)
+    cases = []
+    for _ in range(60):
+        X = rand_space(rng, rng.randint(1, 3), prefix="x")
+        Y = rand_space(rng, rng.randint(1, 3), prefix="y")
+        query = HomotopyQuery(rng.choice([j1(), j_plus(), j_top(2), j_leq(2)]),
+                              rng.choice(list(ProductKind)),
+                              max_steps=rng.choice([1, 2, 3, 8]))
+        cases.append((X, Y, query, _equivalence_by_pairs(X, Y, query)))
+    searched = []
+    find_chain = MapGraph.find_chain
+
+    def counted(graph, u, v, max_steps):
+        searched.append((graph, u, v))
+        return find_chain(graph, u, v, max_steps)
+
+    monkeypatch.setattr(MapGraph, "find_chain", counted)
+    for X, Y, query, want in cases:
+        searched.clear()
+        try:
+            res = homotopy_equivalent(X, Y, query)
+        except BoundExceeded:
+            res = "bounded"
+        if isinstance(res, tuple):
+            f, g, wx, wy = res
+            res = f.mapping, g.mapping, wx.step_count, wy.step_count
+        assert res == want
+        assert len(searched) == len(set(searched))
 
 
 def test_product_compatibility_of_homotopies():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from closuretop import (BadParameter, ContinuousMap, FiniteClosureSpace,
                         IntervalFamily, IntervalSpec, MissingPoint,
-                        NotContinuous, NotReflexive, ProductKind, build_space,
+                        NotContinuous, NotReflexive, ParseError, ProductKind,
+                        build_space,
                         closure, coequalizer, coproduct, interior, interval,
                         is_closed, is_continuous, is_open, is_symmetric, j1,
                         j_bits, j_bot, j_leq, j_minus, j_plain, j_plus, j_top,
@@ -15,7 +16,7 @@ from closuretop import (BadParameter, ContinuousMap, FiniteClosureSpace,
                         pushout, qd, relabel, reverse, space_from_json,
                         space_to_json, subspace, symmetrize,
                         topological_modification)
-from closuretop.spaces import homomorphisms
+from closuretop.spaces import homomorphisms, parse_interval
 from conftest import rand_space
 
 SEED_SPACES = [rand_space(random.Random(100 + i), n, p)
@@ -272,6 +273,21 @@ def test_interval_families():
     assert Jl.closure_map[0] == frozenset({0, 1, 2})
     assert Jl.closure_map[1] == frozenset({1, 2})
     assert Jl.closure_map[2] == frozenset({2})
+
+
+def test_parse_interval_names_and_errors():
+    named = {"j1": j1(), " JPlus ": j_plus(), "jminus": j_minus(),
+             "top:2": j_top(2), "bot:1": j_bot(1), "plain:3": j_plain(3),
+             "leq:2": j_leq(2), "bits:2:1": j_bits(2, 1)}
+    for text, spec in named.items():
+        assert parse_interval(text) == spec
+    # a malformed name is a parse error, an out-of-range m or k is not
+    for text in ("top:x", "bits:2:y", "top", "bits:2", "j1:1", "foo", ""):
+        with pytest.raises(ParseError):
+            parse_interval(text)
+    for text in ("top:0", "leq:-1", "bits:1:5"):
+        with pytest.raises(BadParameter):
+            parse_interval(text)
 
 
 def test_bits_family_covers_plus_minus():
