@@ -1,9 +1,10 @@
 """Exact linear algebra used by the homology and persistence modules.
 
-Over the integers, ``_eliminate`` is the one column elimination, sparse
-over Python ints, by unit pivots and Euclid steps; as in Dumas, Saunders
-and Villard (2001), ``smith`` reduces the small residue densely.  They
-give invariant factors over Z, Q and every F_p, and cycle lattices.
+Over the integers, every matrix goes through ``_eliminate``, the one
+column elimination, sparse over Python ints, by unit pivots and Euclid
+steps; as in Dumas, Saunders and Villard (2001), ``smith`` then reduces
+only the small residue it leaves, densely.  They give invariant factors
+over Z, Q and every F_p, cycle lattices and integer homology bases.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
@@ -22,8 +23,9 @@ def _eliminate(columns):
     removed with its row after clearing it in the others; with none left,
     Euclid steps clear a row free columns share down to one, which owns it
     unless its entry is a unit: pivots still clear it, but it takes no
-    steps.  Returns the count removed and {index: column} of the rest,
-    independent if nonzero."""
+    steps.  Returns the unit pivots in removal order, each (row, unit,
+    column) with the column as it was when removed, its row popped, and
+    {index: column} of the rest, independent if nonzero."""
     cols = dict(enumerate({r: c for r, c in col.items() if c}
                           for col in columns))
     owned = set()  # columns that own a row: pivots still clear them
@@ -31,9 +33,9 @@ def _eliminate(columns):
     for j, col in cols.items():
         for r in col:
             at_row.setdefault(r, set()).add(j)
-    ones = 0
+    pivots = []
     while True:
-        before = ones
+        before = len(pivots)
         for j in [j for j in cols if j not in owned]:
             col = cols[j]
             r = next((r for r, c in col.items()
@@ -55,13 +57,13 @@ def _eliminate(columns):
                     else:
                         del other[s]
                         at_row[s].discard(k)
-            ones += 1
-        if ones != before:
+            pivots.append((r, p, col))
+        if len(pivots) != before:
             continue
         r = next((r for r, ks in at_row.items()
                   if r >= 0 and len(ks - owned) > 1), None)
         if r is None:
-            return ones, cols
+            return pivots, cols
         while len(active := at_row[r] - owned) > 1:
             j = min(active, key=lambda k: abs(cols[k][r]))
             col = cols[j]
@@ -84,12 +86,16 @@ def rank_and_invariants(n_rows, columns):
     """Rank and invariant factors of an integer matrix given as sparse columns.
 
     columns is an iterable of {row_index: coefficient} dicts over n_rows
-    rows; each removed column is a factor 1, and ``smith`` takes the rest."""
-    ones, cols = _eliminate(columns)
+    rows; each unit pivot is a factor 1, and ``smith`` takes the rest."""
+    pivots, cols = _eliminate(columns)
+    rest = _residue(sorted({r for col in cols.values() for r in col}), cols)[0]
+    return len(pivots) + len(rest), [1] * len(pivots) + rest
+
+
+def _residue(rows, cols):
+    """``smith`` of the live columns ``_eliminate`` leaves, on the given rows."""
     live = [col for col in cols.values() if col]
-    rows = sorted({r for col in live for r in col})
-    rest = smith([[col.get(r, 0) for col in live] for r in rows])[0]
-    return ones + len(rest), [1] * ones + rest
+    return smith([[col.get(r, 0) for col in live] for r in rows])
 
 
 def integer_kernel_basis(n_rows, columns):

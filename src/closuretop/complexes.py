@@ -240,21 +240,13 @@ def tr_inf(H: Hypergraph) -> SimplicialComplex:
 
 
 def cosk_inf(K: SimplicialComplex) -> Hypergraph:
-    """Add every set all of whose maximal proper subsets are already present.
+    """The full simplex on K's points.
 
-    Candidate sets are visited by increasing cardinality, so sets added
-    earlier can support later additions.
+    The coskeleton adds, by increasing size, every set all of whose
+    maximal proper subsets are present.  Every singleton is in K, so by
+    induction on size it adds every nonempty subset of the points.
     """
-    edges = set(K.simplices)
-    pts = sorted(K.points, key=repr)
-    for size in range(2, len(pts) + 1):
-        for cand in combinations(pts, size):
-            cand = frozenset(cand)
-            if cand in edges:
-                continue
-            if all(cand - {x} in edges for x in cand):
-                edges.add(cand)
-    return Hypergraph(K.points, edges)
+    return Hypergraph(K.points, _downward_closure([K.points]))
 
 
 def is_hypergraph_map(mapping, H: Hypergraph, K: Hypergraph) -> bool:

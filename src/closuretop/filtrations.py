@@ -99,7 +99,11 @@ def metric_from_matrix(labels, matrix, pseudo: bool = False) -> FiniteMetric:
 
 
 class Decoration(Enum):
-    """Ball convention for closures induced by a metric."""
+    """Ball convention for closures induced by a metric.
+
+    A MINUS filtration reads the closed-ball table: a strict ball and a
+    closed one differ only at grid values, where no right-continuous
+    stage function can hold the strict one."""
 
     MINUS = "minus"    # open balls (with the center always included)
     CLOSED = "closed"  # closed balls
@@ -242,20 +246,19 @@ def _grid_index(values):
 def filtered_from_metric(M: FiniteMetric, dec: Decoration = Decoration.CLOSED) -> FilteredClosureSpace:
     """Filtration over the grid of pairwise distances (with 0 prepended).
 
-    One sort of the distances gives the grid.  Under CLOSED (and PLUS) y
-    enters the closure of x at the index of d(x, y); under MINUS, the
-    strict-ball closure, at the next index, so the stage at grid value t
-    is the closed-ball closure at the previous grid value, and diagrams
-    differ from CLOSED only by the endpoint convention.  A pair at the
-    largest distance never relates under MINUS.  Every point is born at 0.
+    One sort of the distances gives the grid, and y enters the closure
+    of x at the index of d(x, y), under every decoration.  The strict
+    ball of MINUS holds y for every t > d(x, y), and a right-continuous
+    stage function can hold it only from d(x, y) on: its stages are the
+    strict balls off the grid values and the closed ones at them, so
+    its diagrams and GH distances are those of CLOSED.  Every point is
+    born at 0.
     """
     grid, index = _grid_index(M.dist.values())
-    shift = 1 if dec is Decoration.MINUS else 0
     births = {x: {x: 0} for x in M.points}
     for (x, y), v in M.dist.items():
-        b = index[_ratio(v)] + shift
-        if x != y and b < len(grid):
-            births[x][y] = b
+        if x != y:
+            births[x][y] = index[_ratio(v)]
     return FilteredClosureSpace._from_births(grid, M.points, births)
 
 

@@ -18,8 +18,8 @@ from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
-from ._linalg import (FieldReducer, PrimeField, RationalField,
-                      integer_kernel_basis, rank_and_invariants, smith)
+from ._linalg import (FieldReducer, PrimeField, RationalField, _eliminate,
+                      _residue, integer_kernel_basis, rank_and_invariants)
 from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
 from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
@@ -402,47 +402,50 @@ class IntegerHomologyBasis:
     The cycles form a lattice with a sparse basis from integer_kernel_basis;
     a rational column reduction of that basis, each vector tagged with its
     index, gives any cycle's lattice coordinates as the negated tag.
-    The boundaries in those coordinates go through ``smith``.
+    In those coordinates each boundary is a relation column, and they go
+    through ``_eliminate``: a unit pivot drops a kernel vector with its
+    relation, and Euclid steps only recombine relations, so the kernel
+    vectors left stay as they are.  ``smith`` reduces the residue on them.
     """
 
     def __init__(self, C: ChainComplex, n: int, reduced: bool = False):
         dim_n = C.dim(n)
         kernel = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
-        k = len(kernel)
         self._lattice = FieldReducer(RationalField())
         for r, z in enumerate(kernel):
             self._lattice.add(z, {r: 1})
-        rel_cols = []
+        relations = []
         for b in C.boundary_columns(n + 1):
             a = self._lattice_coords(b)
             if a is None:
                 raise AssertionError("boundary outside the cycle lattice")
-            rel_cols.append(a)
-        R = [[col[i] for col in rel_cols] for i in range(k)]
-        diag, U, Uinv = smith(R)
-        orders = [diag[i] if i < len(diag) else 0 for i in range(k)]
-        self._U = U
-        self._kept = [i for i in range(k) if orders[i] != 1]
+            relations.append(a)
+        self._pivots, cols = _eliminate(relations)
+        gone = {r for r, _, _ in self._pivots}
+        self._rows = [r for r in range(len(kernel)) if r not in gone]
+        diag, self._U, Uinv = _residue(self._rows, cols)
+        orders = diag + [0] * (len(self._rows) - len(diag))
+        self._kept = [i for i, d in enumerate(orders) if d != 1]
         self.orders = [orders[i] for i in self._kept]
         self.dimension = len(self._kept)
         self.generators = []
         for i in self._kept:
             vec = [0] * dim_n
-            for r in range(k):
-                if Uinv[r][i]:
-                    for t, c in kernel[r].items():
-                        vec[t] += Uinv[r][i] * c
+            for t, r in enumerate(self._rows):
+                if Uinv[t][i]:
+                    for s, c in kernel[r].items():
+                        vec[s] += Uinv[t][i] * c
             self.generators.append(vec)
 
     def _lattice_coords(self, chain):
-        """Integer coordinates of a sparse chain in the kernel basis.
+        """Sparse integer coordinates of a chain in the kernel basis.
 
         None when the chain is not an integer combination of the basis.
         """
         rest, tag = self._lattice.reduce(chain, {})
         if rest or any(c.denominator != 1 for c in tag.values()):
             return None
-        return [-int(tag.get(r, 0)) for r in range(self._lattice.rank)]
+        return {r: -int(c) for r, c in tag.items()}
 
     def coords(self, cycle):
         """Coordinates of a cycle: torsion entries reduced modulo the order."""
@@ -451,9 +454,15 @@ class IntegerHomologyBasis:
         a = self._lattice_coords(dict(enumerate(cycle)))
         if a is None:
             raise ValueError("not a cycle in the tracked lattice")
+        for r, p, col in self._pivots:  # row r by the rows after it
+            f = a.pop(r, 0) * p
+            if f:
+                for s, c in col.items():
+                    a[s] = a.get(s, 0) - f * c
+        y = [a.get(r, 0) for r in self._rows]
         out = []
         for pos, i in enumerate(self._kept):
-            b = sum(self._U[i][j] * a[j] for j in range(len(a)))
+            b = sum(u * v for u, v in zip(self._U[i], y))
             d = self.orders[pos]
             out.append(b % d if d else b)
         return out

@@ -156,6 +156,26 @@ def test_cosk_inf_fills_boundaries_iteratively():
     assert frozenset({"a", "b", "c", "d"}) in filled2.edges
 
 
+def _cosk_inf_by_sizes(K):
+    """The coskeleton by its rule: by increasing size, add every set all
+    of whose maximal proper subsets are present."""
+    edges = set(K.simplices)
+    pts = sorted(K.points, key=repr)
+    for size in range(2, len(pts) + 1):
+        for cand in map(frozenset, itertools.combinations(pts, size)):
+            if all(cand - {x} in edges for x in cand):
+                edges.add(cand)
+    return Hypergraph(K.points, edges)
+
+
+def test_cosk_inf_is_the_full_simplex():
+    for n in range(1, 5):
+        for K in _all_complexes([f"k{i}" for i in range(n)]):
+            full = cosk_inf(K)
+            assert full == _cosk_inf_by_sizes(K)
+            assert len(full.edges) == 2 ** n - 1
+
+
 # ---------------------------------------------------------------------------
 # adjunctions as vertex-map set equalities, exhaustively on tiny carriers
 

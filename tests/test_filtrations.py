@@ -269,12 +269,16 @@ def _assert_table_matches_stages(F, grid, stages):
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(),
        st.sampled_from(list(Decoration)))
 def test_metric_table_matches_metric_closures(seed, n, pseudo, dec):
+    """Every decoration reads the closed-ball table; off the grid values,
+    where strict and closed balls agree, the stages are dec's closures."""
     rng = random.Random(seed)
     M = rand_metric(rng, n, coord_range=rng.choice([2, 8]), pseudo=pseudo)
     F = filtered_from_metric(M, dec)
     grid = sorted(set(M.dist.values()) | {0})
-    _assert_table_matches_stages(F, grid, [metric_closure(M, t, dec)
+    _assert_table_matches_stages(F, grid, [metric_closure(M, t)
                                            for t in grid])
+    for t in [(a + b) / 2 for a, b in zip(grid, grid[1:])] + [grid[-1] + 1]:
+        assert F.stage_at(t) == metric_closure(M, t, dec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,9 +324,9 @@ def test_stages_are_built_on_demand_and_cached():
     with pytest.raises(IndexError):
         F.stage(3)
     minus = filtered_from_metric(M, Decoration.MINUS)
-    assert minus.births["a"] == {"a": 0, "b": 2}  # d(a, c) is the largest
+    assert minus.births == F.births  # strict balls read the closed table
     # the stage-list constructor keeps the given stage objects
     stages = [metric_closure(M, t) for t in F.grid]
     G = FilteredClosureSpace(F.grid, stages)
     assert G == F and all(G.stage(i) is s for i, s in enumerate(stages))
-    assert G != filtered_from_metric(M, Decoration.MINUS)
+    assert G == filtered_from_metric(M, Decoration.MINUS)

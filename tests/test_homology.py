@@ -22,10 +22,12 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         j1, j_plus, parse_coefficients, point_space, product,
                         product_power, singular_chain_complex,
                         singular_homology, vr)
+from closuretop import _linalg
 from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
                                 _is_prime, integer_kernel_basis,
                                 rank_and_invariants, smith)
-from closuretop.homology import (_cube_faces, chain_map_columns,
+from closuretop.homology import (_cube_faces, _lower_boundary_data,
+                                 chain_map_columns,
                                  cube_degenerate, cube_face, enumerate_cubes,
                                  enumerate_simplices, induced_map_between)
 from closuretop.spaces import parse_interval
@@ -717,6 +719,71 @@ def test_homology_basis_coords_roundtrip():
                 dense = [col.get(r, 0) for r in range(C.dim(n))]
                 assert all(c == 0 for c in B.coords(dense))
     assert homology_basis(cases[0][0], 1, "q").dimension == 1
+
+
+def _dense_integer_orders(C, n, reduced):
+    """Orders of the integer homology basis from the whole relation
+    matrix, kernel rank x boundaries, handed to smith at once."""
+    kernel = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
+    lattice = FieldReducer(RationalField())
+    for r, z in enumerate(kernel):
+        lattice.add(z, {r: 1})
+    relations = []
+    for b in C.boundary_columns(n + 1):
+        rest, tag = lattice.reduce(b, {})
+        assert not rest and all(c.denominator == 1 for c in tag.values())
+        relations.append([-int(tag.get(r, 0)) for r in range(len(kernel))])
+    diag = smith([[col[r] for col in relations]
+                  for r in range(len(kernel))])[0]
+    return [d for d in diag + [0] * (len(kernel) - len(diag)) if d != 1]
+
+
+def test_integer_basis_against_dense_relations():
+    theories = (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES, CUBE_JPLUS_BOX,
+                SIMPLEX_J1, SIMPLEX_JPLUS)
+    rng = random.Random(173)
+    cases = [(complex_chain_complex(complex_from_text(RP2, True), top=3),
+              {x: x for x in "123456"})]
+    for _ in range(3):
+        X = rand_space(rng, rng.randint(2, 4), p=rng.choice((0.3, 0.5)))
+        ident = {x: x for x in X.points}
+        cases += [(singular_chain_complex(X, th, 3), ident)
+                  for th in theories]
+        K = vr(rand_space(rng, rng.randint(3, 6), p=0.6))
+        cases.append((complex_chain_complex(K, top=3),
+                      {x: x for x in K.points}))
+    for C, ident in cases:
+        for n in range(3):
+            for reduced in (False, True):
+                B = homology_basis(C, n, "z", reduced)
+                assert B.orders == _dense_integer_orders(C, n, reduced)
+                d = B.dimension
+                unit = [[1 if i == j else 0 for j in range(d)]
+                        for i in range(d)]
+                assert [B.coords(g) for g in B.generators] == unit
+                for col in C.boundary_columns(n + 1):
+                    dense = [col.get(r, 0) for r in range(C.dim(n))]
+                    assert B.coords(dense) == [0] * d
+                f = induced_map_between(C, C, ident, n, "z", reduced,
+                                        src_basis=B, tgt_basis=B)
+                assert f.matrix == unit
+
+
+def test_integer_basis_hands_smith_only_the_residue(monkeypatch):
+    """RP^2 has ten 1-cycles and unit relations: the sparse elimination
+    drops kernel vectors with them before smith sees the rest."""
+    C = complex_chain_complex(complex_from_text(RP2, True))
+    k = len(integer_kernel_basis(C.dim(0), C.boundary_columns(1)))
+    seen = []
+    real = _linalg.smith
+
+    def recorded(rows):
+        seen.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(_linalg, "smith", recorded)
+    assert homology_basis(C, 1, "z").orders == [2]
+    assert k == 10 and seen and all(r < k for r in seen)
 
 
 def test_induced_map_identity_and_functoriality():

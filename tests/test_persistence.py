@@ -18,7 +18,8 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         filtered_from_sublevel,
                         filtered_from_weighted_digraph, filtered_simplices,
                         gh_distance, homology, inclusion_interleaving_maps,
-                        metric_from_matrix, persistence_complex,
+                        metric_closure, metric_from_matrix,
+                        persistence_complex,
                         persistence_tower, singular_chain_complex,
                         tower_to_diagram, verify_interleaving, vr)
 from closuretop._linalg import FieldReducer, PrimeField, RationalField
@@ -755,6 +756,37 @@ def test_gh_against_branch_and_bound():
             FY = draw(kind, rng.randint(1, 4))[0]
         got, want = gh_distance(FX, FY), _gh_branch_and_bound(FX, FY)
         assert got == want and type(got) is type(want)
+
+
+def test_strict_balls_give_the_closed_ball_results():
+    """A MINUS filtration holds the strict balls off the grid values and
+    gives the diagrams and GH distances of CLOSED."""
+    M = metric_from_matrix(["a", "b", "c"],
+                           [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+    F = filtered_from_metric(M, Decoration.MINUS)
+    t = Fraction(3, 2)
+    assert F.stage_at(t) == metric_closure(M, t, Decoration.MINUS)
+    assert F.stage_at(t).closure_map["a"] == frozenset({"a", "b"})
+    D0 = persistence_complex(F, "vr", 0)[0]
+    assert D0.sorted_pairs() == [(0, 1), (0, 2), (0, None)]
+    two = [filtered_from_metric(metric_from_matrix(["x", "y"],
+                                                   [[0, d], [d, 0]]),
+                                Decoration.MINUS) for d in (2, 5)]
+    assert gh_distance(*two) == Fraction(3, 2)
+    rng = random.Random(181)
+    for _ in range(30):
+        Ms = [rand_metric(rng, rng.randint(1, 5), pseudo=rng.random() < 0.3)
+              for _ in range(2)]
+        closed = [filtered_from_metric(M) for M in Ms]
+        minus = [filtered_from_metric(M, Decoration.MINUS) for M in Ms]
+        for c, m in zip(closed, minus):
+            for construction in ("vr", "cech"):
+                for max_dim in (0, 1):
+                    got, want = (persistence_complex(F, construction, max_dim)
+                                 for F in (m, c))
+                    assert {d: D.sorted_pairs() for d, D in got.items()} == \
+                        {d: D.sorted_pairs() for d, D in want.items()}
+        assert gh_distance(*minus) == gh_distance(*closed)
 
 
 def test_gh_cap():
