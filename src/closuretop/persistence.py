@@ -1,12 +1,16 @@
 """Persistence of filtered closure spaces.
 
 Diagrams come from two routes: coboundary reduction with clearing of a
-filtered simplicial complex, and one elder-rule sweep along a tower of
-stage homology groups with inclusion-induced maps.  The module also provides
-the bottleneck distance, correspondence distortion with the derived
-Gromov-Hausdorff distance, and interleaving verification.  Tower maps
-act on sparse vectors: the sweep and the interleaving identities push
-vectors through the stage maps, and no composite matrix is formed.
+filtered VR or Cech complex, and one elder-rule sweep along a tower of
+stage homology groups with inclusion-induced maps.  The first lists only
+the simplices that give columns and builds each coboundary when it is
+reduced, reading the cofaces' births from the filtration's pair-birth
+table; one birth rule per construction serves both the cofaces and the
+listed simplices.  The module also provides the bottleneck distance,
+correspondence distortion with the derived Gromov-Hausdorff distance,
+and interleaving verification.  Tower maps act on sparse vectors: the
+sweep and the interleaving identities push vectors through the stage
+maps, and no composite matrix is formed.
 """
 from __future__ import annotations
 
@@ -15,10 +19,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import zip_longest
 
 from ._linalg import FieldReducer
-from .complexes import cech, cliques, vr
+from .complexes import cech, vr
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
 from .filtrations import FilteredClosureSpace
@@ -117,67 +121,113 @@ def load_diagram(path) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 # route 1: filtered simplicial complex with coboundary reduction
 
+def _birth_rule(F: FilteredClosureSpace, construction: str):
+    """The points in repr order, their births and the coface births of
+    a construction, all read from F's table of pair births.
+
+    Births are grid indices, and never = len(F.grid) stands for a
+    simplex that is never born.  grow(s, b) takes a simplex s, a sorted
+    tuple of point indices born at b, and returns a list whose entry v
+    is the birth of s with the vertex v added, at least never if it is
+    never born; the entries of s's own vertices mean nothing.  A VR
+    simplex is a clique of mutually close points, so s + v is born at
+    the latest of b and the births of the pairs (u, v), u in s, each
+    pair born when both directions are present.  A Cech simplex is born
+    at the earliest stage at which it lies in the closure of some point
+    x, so s + v is born at the minimum over centres x of the latest
+    (x, y) birth over its points y.
+    """
+    if construction not in ("vr", "cech"):
+        raise BadParameter(f"unknown construction {construction!r}")
+    points = sorted(F.points, key=repr)
+    n = len(points)
+    never = len(F.grid)
+    at = {x: i for i, x in enumerate(points)}
+    # rows[i][j]: first stage index with points[j] in the closure of points[i]
+    rows = [[never] * n for _ in points]
+    for x, row in zip(points, rows):
+        for y, b in F.births[x].items():
+            row[at[y]] = b
+    vertex = [row[i] for i, row in enumerate(rows)]
+    if construction == "vr":
+        # a pair is an edge once both directions are present
+        edge = [list(map(max, row, col)) for row, col in zip(rows, zip(*rows))]
+
+        def wider(s, b):
+            return list(map(max, [b] * n, *(edge[u] for u in s)))
+    else:
+        # cols[y][x]: the birth of y in the closure of x
+        cols = [list(col) for col in zip(*rows)]
+
+        def wider(s, b):
+            # late[x]: when all of s lies in the closure of x, never
+            # before b, so the list of b's changes nothing
+            late = list(map(max, [b] * n, *(cols[y] for y in s)))
+            return [min(map(max, late, col)) for col in cols]
+
+        edge = [wider((u,), b) for u, b in enumerate(vertex)]
+
+    def grow(s, b):
+        # the cofaces of a vertex are its edges, born after it
+        return edge[s[0]] if len(s) == 1 else wider(s, b)
+    return points, vertex, grow
+
+
+def _levels(vertex, grow, never, size):
+    """The simplices of 1, ..., size vertices, one list per size, as
+    (birth, code, simplex) in filtration order.  A simplex is a sorted
+    tuple of point indices and its code that tuple read as base-n
+    digits, so the lists sort by birth, then the tuple.  Each simplex of
+    k + 1 vertices is grown from its first k."""
+    n = len(vertex)
+    level = sorted((b, i, (i,)) for i, b in enumerate(vertex))
+    levels = [level]
+    for _ in range(size - 1):
+        level = sorted((g, c * n + v, s + (v,)) for b, c, s in level
+                       for v, g in enumerate(grow(s, b)[s[-1] + 1:], s[-1] + 1)
+                       if g < never)
+        levels.append(level)
+    return levels
+
+
 def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
                        max_dim: int = 1):
     """Simplices of the final-stage complex with first-appearance values.
 
     Returns a list of (birth, simplex-as-sorted-tuple) restricted to
-    simplices of at most max_dim + 2 vertices, since that is all the
-    reduction in degrees up to max_dim can use.  The list is sorted by
-    birth, then size, then the points' reprs.
-
-    No stage complex is built.  The births are read from F's table of
-    pair births, as grid indices until the grid values go into the
-    output.  A vertex x is born at (x, x).  A VR simplex is a clique of
-    mutually close points, born at the latest of its edges' births,
-    each edge born when both directions are present; cliques are
-    enumerated only up to the vertex cap.  A Cech simplex is born at the
-    earliest stage at which it lies in the closure of some point x, so
-    its birth is the minimum over centres x of the latest (x, y) birth
-    over its points y; only subsets within the vertex cap of each final
-    closure are visited.
+    simplices of at most max_dim + 2 vertices, the rows and columns of
+    the reduction in degrees up to max_dim.  The list is sorted by
+    birth, then size, then the points' reprs.  No stage complex is
+    built: each simplex is grown from its first vertices by the same
+    birth rule that persistence_complex reads its cofaces with.
     """
-    if construction not in ("vr", "cech"):
-        raise BadParameter(f"unknown construction {construction!r}")
+    points, vertex, grow = _birth_rule(F, construction)
     if max_dim < 0:
         raise BadParameter("max_dim must be nonnegative")
-    points = sorted(F.points, key=repr)
-    at = {x: i for i, x in enumerate(points)}
-    # rows[i][j]: first stage index with points[j] in the closure of points[i]
-    rows = [{at[y]: b for y, b in F.births[x].items()} for x in points]
-    size = max_dim + 2
-    births = {}
-    if construction == "vr":
-        later = [sum(1 << j for j in row if j > i and i in rows[j])
-                 for i, row in enumerate(rows)]
-        for s in cliques(later, size):
-            births[s] = (rows[s[0]][s[0]] if len(s) == 1 else
-                         max(max(rows[i][j], rows[j][i])
-                             for i, j in combinations(s, 2)))
-    else:
-        for row in rows:
-            near = sorted(row)
-            for r in range(1, size + 1):
-                for s in combinations(near, r):
-                    b = max(row[y] for y in s)
-                    if s not in births or b < births[s]:
-                        births[s] = b
-    ordered = sorted(births.items(), key=lambda sb: (sb[1], len(sb[0]), sb[0]))
-    return [(F.grid[b], tuple(points[i] for i in s)) for s, b in ordered]
+    levels = _levels(vertex, grow, len(F.grid), max_dim + 2)
+    ordered = sorted((bcs for level in levels for bcs in level),
+                     key=lambda bcs: (bcs[0], len(bcs[2]), bcs[1]))
+    return [(F.grid[b], tuple(points[i] for i in s)) for b, _, s in ordered]
 
 
-def _coboundary(s, points, at, index):
-    """The signed coboundary of the simplex s, keyed by minus the list
-    position of each coface: the coface with the new vertex at position
-    p, as in points' order, has coefficient (-1)^p.  Cofaces are looked
-    up in index, so those missing from the filtration are left out."""
+def _coboundary(s, c, born, never, n):
+    """The signed coboundary of the simplex s of code c, given the births
+    of its cofaces by added vertex.  The coface t with the new vertex at
+    position p has coefficient (-1)^p and the key -(birth * n^len(t) +
+    code of t), so the largest key is the first coface in filtration
+    order.  Cofaces never born are left out."""
+    k = len(s) + 1
+    width = n ** k
     col = {}
     lo = 0
-    for p, hi in enumerate([at[x] for x in s] + [len(points)]):
-        for v in points[lo:hi]:
-            j = index.get(s[:p] + (v,) + s[p:])
-            if j is not None:
-                col[-j] = -1 if p & 1 else 1
+    for p, hi in enumerate(s + (n,)):
+        # the vertices v between s[p - 1] and s[p] go in at position p
+        step = n ** (k - 1 - p)
+        top, low = divmod(c, step)
+        head = top * step * n + low
+        sign = -1 if p & 1 else 1
+        col.update({-(born[v] * width + head + v * step): sign
+                    for v in range(lo, hi) if born[v] < never})
         lo = hi + 1
     return col
 
@@ -186,43 +236,45 @@ def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",
                         max_dim: int = 1, coefficients: str = "f2"):
     """Persistence diagrams per degree via coboundary reduction with clearing.
 
-    Degree by degree from 0 up, the coboundaries of the d-simplices are
-    added to one reducer in reverse filtration order, keyed by minus the
-    cofaces' list positions, so a column's pivot is its first coface in
-    the filtration order.  A column that reduces to pivot tau pairs its simplex with
-    tau; one that empties is an infinite bar.  A d-simplex that was a
-    pivot in degree d - 1 kills a class there and would only empty, so
-    its column is skipped (clearing).  Simplices of dimension
-    max_dim + 1 are rows only.  Persistent cohomology has the same pairs
-    as persistent homology over any field (de Silva, Morozov and
-    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011);
-    see also Bauer, "Ripser", arXiv:1908.02518.  Bars of length zero are
-    dropped.
+    Only the simplices of at most max_dim + 1 vertices are listed; each
+    column's coboundary is built when it is reduced, with the cofaces'
+    births read from the pair-birth table (Bauer, "Ripser",
+    arXiv:1908.02518).  Degree by degree from 0 up, the coboundaries of
+    the d-simplices are added to one reducer in reverse filtration
+    order, keyed so that a column's pivot is its first coface in the
+    filtration order.  A column that reduces to pivot tau pairs its
+    simplex with tau, whose birth and code the key holds; one that
+    empties is an infinite bar.  A d-simplex that was a pivot in degree
+    d - 1 kills a class there and would only empty, so its column is
+    skipped (clearing).  Persistent cohomology has the same pairs as
+    persistent homology over any field (de Silva, Morozov and
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011).
+    Bars of length zero are dropped.
     """
     field = _field_from_spec(coefficients)
-    simplices = filtered_simplices(F, construction, max_dim)
-    index = {s: i for i, (_, s) in enumerate(simplices)}
-    # the vertex order of the simplices, as filtered_simplices sorts them
-    points = sorted(F.points, key=repr)
-    at = {x: i for i, x in enumerate(points)}
+    points, vertex, grow = _birth_rule(F, construction)
+    if max_dim < 0:
+        raise BadParameter("max_dim must be nonnegative")
+    n = len(points)
+    never = len(F.grid)
     diagrams = {}
-    cleared = set()
-    for d in range(max_dim + 1):
+    cleared = set()  # codes of the simplices paired one degree down
+    for d, level in enumerate(_levels(vertex, grow, never, max_dim + 1)):
         reducer = FieldReducer(field)
+        width = n ** (d + 2)
         pairs = []
         paired = set()
-        for i in range(len(simplices) - 1, -1, -1):
-            birth, s = simplices[i]
-            if len(s) != d + 1 or i in cleared:
+        for b, c, s in reversed(level):
+            if c in cleared:
                 continue
-            col, _ = reducer.add(_coboundary(s, points, at, index))
+            col, _ = reducer.add(_coboundary(s, c, grow(s, b), never, n))
             if not col:
-                pairs.append((birth, None))
+                pairs.append((F.grid[b], None))
                 continue
-            j = -max(col)
-            paired.add(j)
-            if birth != simplices[j][0]:
-                pairs.append((birth, simplices[j][0]))
+            death, code = divmod(-max(col), width)
+            paired.add(code)
+            if b != death:
+                pairs.append((F.grid[b], F.grid[death]))
         cleared = paired
         diagrams[d] = PersistenceDiagram(d, tuple(pairs))
     return diagrams
@@ -399,9 +451,19 @@ def _bipartite_feasible(dist, ranked, half1, half2, eps):
     copies1 = list(range(n2, size))
     adj += [([j] if half2[j] <= eps else []) + copies1 for j in range(n2)]
     match_right = [-1] * size
+    # the diagonal copies of bars1 are interchangeable, and a matched
+    # right vertex stays matched, so one cursor hands out the free ones
+    cursor = n2
     for u in range(size):
         # take a free neighbour first; the search only runs when none is left
-        v = next((v for v in adj[u] if match_right[v] == -1), None)
+        if u < n1:
+            v = next((v for v in adj[u] if match_right[v] == -1), None)
+        elif half2[u - n1] <= eps and match_right[u - n1] == -1:
+            v = u - n1
+        else:
+            while cursor < size and match_right[cursor] != -1:
+                cursor += 1
+            v = cursor if cursor < size else None
         if v is not None:
             match_right[v] = u
         elif not _augment(adj, match_right, u):

@@ -107,6 +107,10 @@ def _rand_filtration(rng, kind):
     n = rng.randint(1, 7)
     if kind == "metric":
         return filtered_from_metric(rand_metric(rng, n))
+    if kind == "grid":
+        # l1 distances on a 4 x 4 integer grid tie often, so the order of
+        # the points decides the pairs
+        return filtered_from_metric(rand_metric(rng, n, coord_range=3))
     if kind == "sublevel":
         X = rand_space(rng, n, p=rng.choice([0.3, 0.6]))
         return filtered_from_sublevel(
@@ -118,7 +122,7 @@ def _rand_filtration(rng, kind):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(["metric", "digraph",
+@given(st.integers(0, 10 ** 6), st.sampled_from(["metric", "grid", "digraph",
                                                   "sublevel"]),
        st.sampled_from(["vr", "cech"]), st.integers(0, 2))
 def test_filtered_simplices_match_stage_by_stage_build(seed, kind,
@@ -265,8 +269,13 @@ def _boundary_reduction_diagrams(F, construction, max_dim, coefficients):
             for d in range(max_dim + 1)}
 
 
+def _same_diagrams(got, want):
+    return ({d: D.as_multiset() for d, D in got.items()}
+            == {d: D.as_multiset() for d, D in want.items()})
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10 ** 6), st.sampled_from(["metric", "digraph",
+@given(st.integers(0, 10 ** 6), st.sampled_from(["metric", "grid", "digraph",
                                                   "sublevel"]),
        st.sampled_from(["vr", "cech"]), st.integers(0, 2),
        st.sampled_from(sorted(FIELDS)))
@@ -276,8 +285,40 @@ def test_coboundary_reduction_matches_boundary_reduction(
     got = persistence_complex(F, construction, max_dim, coefficients)
     want = _boundary_reduction_diagrams(F, construction, max_dim,
                                         coefficients)
-    assert ({d: D.as_multiset() for d, D in got.items()}
-            == {d: D.as_multiset() for d, D in want.items()})
+    assert _same_diagrams(got, want)
+
+
+def test_thirty_point_coboundary_reduction_matches_boundary_reduction():
+    """Thirty points on a 9 x 9 grid: thousands of triangles, many ties."""
+    F = filtered_from_metric(rand_metric(random.Random(179), 30))
+    for construction in ("vr", "cech"):
+        for coefficients in sorted(FIELDS):
+            got = persistence_complex(F, construction, 1, coefficients)
+            want = _boundary_reduction_diagrams(F, construction, 1,
+                                                coefficients)
+            assert _same_diagrams(got, want)
+
+
+def test_persistence_lists_no_row_simplex(monkeypatch):
+    """The simplices of max_dim + 2 vertices are rows only: their
+    births are read when a column needs them, and none is listed."""
+    from closuretop import persistence
+    real = persistence._levels
+    listed = []
+
+    def recording(*args):
+        levels = real(*args)
+        listed.extend(s for level in levels for _, _, s in level)
+        return levels
+
+    monkeypatch.setattr(persistence, "_levels", recording)
+    F = filtered_from_metric(rand_metric(random.Random(181), 7))
+    for construction in ("vr", "cech"):
+        for max_dim in (0, 1, 2):
+            listed.clear()
+            out = persistence_complex(F, construction, max_dim)
+            assert sum(len(D) for D in out.values()) > 0
+            assert listed and max(map(len, listed)) == max_dim + 1
 
 
 def test_tower_diagram_matches_matrix_reduction():
