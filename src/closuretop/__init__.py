@@ -33,7 +33,7 @@ from .complexes import (Hypergraph, SimplicialComplex, SimplicialMap, cech,
                         is_hypergraph_map, is_simplicial, load_complex, tr1,
                         tr_inf, vr)
 from .homotopy import (HomotopyQuery, HomotopyWitness, OneStepWitness,
-                       enumerate_continuous_maps, homotopic,
+                       enumerate_continuous_maps, homotopic, homotopy_core,
                        homotopy_equivalent, is_contractible,
                        one_step_homotopic)
 from .homology import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
@@ -44,7 +44,7 @@ from .homology import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                        homology_basis, induced_map, induced_map_between,
                        parse_coefficients, parse_theory,
                        simplicial_chain_complex, singular_chain_complex,
-                       singular_homology)
+                       singular_homology, singular_homology_groups)
 from .persistence import (PersistenceDiagram, Tower, bottleneck,
                           check_correspondence, diagram_from_json,
                           diagram_to_json, distortion, filtered_simplices,

@@ -19,8 +19,8 @@ from .filtrations import (Decoration, filtered_from_metric,
                           filtered_from_sublevel,
                           filtered_from_weighted_digraph, metric_from_csv,
                           digraph_from_text, sublevel_from_csv)
-from .homology import (homology_groups, parse_coefficients, parse_theory,
-                       singular_chain_complex)
+from .homology import (parse_coefficients, parse_theory,
+                       singular_homology_groups)
 from .homotopy import HomotopyQuery, homotopic
 from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
                           gh_distance, load_diagram, persistence_complex)
@@ -121,9 +121,8 @@ def _arithmetic(coeffs) -> str:
 def cmd_homology(args) -> int:
     X = load_space(args.space)
     theory = parse_theory(args.theory)
-    C = singular_chain_complex(X, theory, args.max_dim + 1, cap=args.cap)
-    groups = homology_groups(C, range(args.max_dim + 1),
-                             coefficients=args.coeffs, reduced=args.reduced)
+    groups = singular_homology_groups(X, theory, range(args.max_dim + 1),
+                                      args.coeffs, args.reduced, args.cap)
     if args.json:
         out = {"theory": args.theory, "coefficients": args.coeffs,
                "reduced": args.reduced,

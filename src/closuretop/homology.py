@@ -10,6 +10,10 @@ the rule that reads a vertex image as a signed basis element or zero,
 so a chain map asks its target, not a theory.  Boundary matrices are
 integer matrices; groups over Z, Q and every F_p are read off their
 invariant factors, and a field reduction gives bases and induced maps.
+Each theory is homotopy invariant under its own interval and product, so
+singular_homology computes a space's groups on its homotopy core
+(homotopy.homotopy_core); bases, induced maps and towers need the
+literal space's complex and build that.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from ._linalg import (FieldReducer, PrimeField, RationalField, _eliminate,
                       _residue, integer_kernel_basis, rank_and_invariants)
 from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
+from .homotopy import homotopy_core
 from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
                      enumerate_continuous_maps, interval, j_leq, j_top,
                      parse_interval, point_space, product_power)
@@ -386,11 +391,28 @@ def homology(C: ChainComplex, n: int, coefficients: str = "z",
     return homology_groups(C, [n], coefficients, reduced)[n]
 
 
+def singular_homology_groups(X: FiniteClosureSpace, theory: Theory, degrees,
+                             coefficients: str = "z", reduced: bool = False,
+                             cap: int = None) -> dict:
+    """{n: H_n(X)} for each n in degrees, computed on X's homotopy core.
+
+    The core is taken under the theory's own interval and product, under
+    which its homology is homotopy invariant, so the groups are those of
+    X.  Bases, induced maps and towers need X's own complex and build it.
+    """
+    degrees = list(degrees)
+    core = homotopy_core(X, parse_interval(theory.interval), theory.product)
+    C = singular_chain_complex(core, theory, max(degrees, default=0) + 1,
+                               cap=cap)
+    return homology_groups(C, degrees, coefficients, reduced)
+
+
 def singular_homology(X: FiniteClosureSpace, theory: Theory, n: int,
                       coefficients: str = "z", reduced: bool = False,
                       cap: int = None) -> HomologyGroup:
-    C = singular_chain_complex(X, theory, n + 1, cap=cap)
-    return homology(C, n, coefficients=coefficients, reduced=reduced)
+    """The degree-n singular homology of X, computed on its homotopy core."""
+    return singular_homology_groups(X, theory, [n], coefficients, reduced,
+                                    cap)[n]
 
 
 # ---------------------------------------------------------------------------

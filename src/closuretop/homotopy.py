@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import permutations
 from typing import Optional
 
 from .errors import (BadParameter, BoundExceeded, CapExceeded,
@@ -32,7 +33,52 @@ from .spaces import (
     neighbour_lists,
     point_space,
     product,
+    subspace,
 )
+
+
+def _first_retractable(X, I, kind, ends):
+    """The first point x, in point order, with a y whose retraction r is
+    one step from the identity with r at one of ends; None if there is none."""
+    XJ = product(X, I, kind)
+    c = X.closure_map
+    for x, y in permutations(X.points, 2):
+        for e, needs_out, needs_in in ends:
+            if (needs_out and x not in c[y]) or (needs_in and y not in c[x]):
+                continue
+            H = {(p, i): p for p in X.points for i in I.points}
+            H[(x, e)] = y
+            if is_continuous(H, XJ, X):
+                return x
+    return None
+
+
+def homotopy_core(X: FiniteClosureSpace, J: IntervalSpec,
+                  kind: ProductKind) -> FiniteClosureSpace:
+    """X less the points removed one at a time by one-step deformation
+    retractions; a subspace of X homotopy equivalent to it under (J, kind).
+
+    For points x != y in point order, let r send x to y and fix the rest.
+    x goes when the map H on the literal product X (x) J that is r at one
+    end of J and the identity at every other point of J is continuous,
+    with r at 0 tried first, then at m.  Then r is one step from the
+    identity, so the inclusion of X - x is a homotopy equivalence with
+    inverse r.  The scan restarts after each removal and stops when no
+    pair qualifies; the last point always stays.  H joins (x, e) to
+    (x, j) for every edge e -> j of J, so a pair is skipped unless x is
+    in c(y) when e has an out-edge and y is in c(x) when it has an in-edge.
+    """
+    I = interval(J)
+    # per end e of J: e, whether e has an out-edge, whether it has an in-edge
+    ends = [(e, any(j != e for j in I.closure_map[e]),
+             any(e in I.closure_map[j] for j in I.points if j != e))
+            for e in (0, J.m)]
+    while len(X.points) > 1:
+        x = _first_retractable(X, I, kind, ends)
+        if x is None:
+            break
+        X = subspace(X, [p for p in X.points if p != x])
+    return X
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """Exact linear algebra oracles and singular homology checks."""
+import importlib
 import itertools
 import random
 import time
@@ -21,7 +22,7 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         homology_basis, induced_map, interval, is_continuous,
                         j1, j_plus, parse_coefficients, point_space, product,
                         product_power, singular_chain_complex,
-                        singular_homology, vr)
+                        singular_homology, singular_homology_groups, vr)
 from closuretop import _linalg
 from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
                                 _is_prime, integer_kernel_basis,
@@ -29,7 +30,8 @@ from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
 from closuretop.homology import (_cube_faces, _lower_boundary_data,
                                  chain_map_columns,
                                  cube_degenerate, cube_face, enumerate_cubes,
-                                 enumerate_simplices, induced_map_between)
+                                 enumerate_simplices, homology_groups,
+                                 induced_map_between)
 from closuretop.spaces import parse_interval
 from conftest import rand_space
 
@@ -851,3 +853,58 @@ def test_homotopy_invariance_sample():
             mg = induced_map(g, th, n)
             assert mf.matrix == mg.matrix
         done += 1
+
+
+_SIX_THEORIES = (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES, CUBE_JPLUS_BOX,
+                 SIMPLEX_J1, SIMPLEX_JPLUS)
+
+
+def _check_groups_on_the_core(X, theory):
+    # the literal space's complex is the oracle for the groups on the core
+    C = singular_chain_complex(X, theory, 3)
+    for coeffs in ("z", "f2"):
+        for reduced in (False, True):
+            got = singular_homology_groups(X, theory, range(3), coeffs,
+                                           reduced)
+            assert got == homology_groups(C, range(3), coeffs, reduced), \
+                (X, theory, coeffs, reduced)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_homology_on_the_core_equals_the_literal_space(seed):
+    rng = random.Random(seed)
+    X = rand_space(rng, rng.randint(2, 6), p=rng.choice((0.2, 0.35, 0.5)))
+    for theory in _SIX_THEORIES:
+        _check_groups_on_the_core(X, theory)
+        n = rng.randint(0, 2)
+        assert singular_homology(X, theory, n, "z") == \
+            homology(singular_chain_complex(X, theory, n + 1), n, "z")
+
+
+def test_homology_on_the_cores_of_interval_powers():
+    # J and J x J under the theory's own product; the cores are one point
+    # except on the box squares, which no single-point retraction shrinks
+    for theory in _SIX_THEORIES:
+        J = interval(parse_interval(theory.interval))
+        for X in (J, product_power(J, 2, theory.product)):
+            _check_groups_on_the_core(X, theory)
+
+
+def test_homology_on_the_core_lists_only_the_cores_shapes(monkeypatch):
+    # J1 x J1 has 64,812 nondegenerate 3-cubes under j1-times; its core is
+    # one point, so only the point's shapes are listed
+    homology_mod = importlib.import_module("closuretop.homology")
+    listed = []
+    enumerate_cubes = homology_mod.enumerate_cubes
+
+    def counted(X, theory, n):
+        listed.append(len(X.points))
+        return enumerate_cubes(X, theory, n)
+
+    monkeypatch.setattr(homology_mod, "enumerate_cubes", counted)
+    J = interval(j1())
+    groups = singular_homology_groups(product(J, J), CUBE_J1_TIMES, range(3),
+                                      "z", reduced=True)
+    assert [str(g) for g in groups.values()] == ["0", "0", "0"]
+    assert listed == [1, 1, 1, 1]

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from closuretop import (BoundExceeded, CapExceeded, ContinuousMap,
+from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
+                        CUBE_JPLUS_TIMES, SIMPLEX_J1, SIMPLEX_JPLUS,
+                        BoundExceeded, CapExceeded, ContinuousMap,
                         ProductKind, build_space, interval, is_continuous,
                         j1, j_bits, j_bot, j_leq, j_minus, j_plain, j_plus,
-                        j_top, point_space, product)
+                        j_top, point_space, product, subspace)
 from closuretop.homotopy import (HomotopyQuery, MapGraph,
                                  enumerate_continuous_maps, homotopic,
-                                 homotopy_equivalent, is_contractible,
-                                 one_step_homotopic)
+                                 homotopy_core, homotopy_equivalent,
+                                 is_contractible, one_step_homotopic)
+from closuretop.spaces import parse_interval
 from conftest import rand_space
 
 
@@ -321,3 +324,59 @@ def test_product_compatibility_of_homotopies():
                               max_steps=12, size_cap=6)
         assert homotopic(fh, gk, q_big) is not None
         done += 1
+
+
+_INTERVALS_AND_PRODUCTS = [(j1(), ProductKind.PRODUCT),
+                           (j1(), ProductKind.INDUCTIVE),
+                           (j_plus(), ProductKind.PRODUCT),
+                           (j_plus(), ProductKind.INDUCTIVE)]
+
+
+def _one_step_retractions(X, J, kind):
+    """The pairs (x, y) in point order whose retraction r, sending x to y
+    and fixing the rest, is continuous and one step from the identity in
+    either direction, read off the map graph of X."""
+    graph = MapGraph(X, X, J, kind)
+    at = {p: i for i, p in enumerate(X.points)}
+    ident = graph.index[tuple(range(len(X.points)))]
+    out = []
+    for x, y in itertools.permutations(X.points, 2):
+        u = graph.index.get(tuple(at[y] if p == x else at[p]
+                                  for p in X.points))
+        if u is not None and (graph.one_step(u, ident)
+                              or graph.one_step(ident, u)):
+            out.append((x, y))
+    return out
+
+
+def test_homotopy_core_against_the_map_graph():
+    rng = random.Random(223)
+    for _ in range(60):
+        X = rand_space(rng, rng.randint(1, 5), p=rng.choice((0.3, 0.5, 0.7)))
+        for J, kind in _INTERVALS_AND_PRODUCTS:
+            core = homotopy_core(X, J, kind)
+            assert core == subspace(X, core.points)
+            assert homotopy_core(core, J, kind) == core
+            if len(core.points) > 1:
+                assert _one_step_retractions(core, J, kind) == []
+            # replay the removals: each takes the first point in order that
+            # has a one-step retraction, with a verified witness
+            Y = X
+            for _ in range(len(X.points) - len(core.points)):
+                x, y = _one_step_retractions(Y, J, kind)[0]
+                r = ContinuousMap(Y, Y, {p: y if p == x else p
+                                         for p in Y.points})
+                ident = ContinuousMap.identity(Y)
+                assert (one_step_homotopic(r, ident, J, kind)
+                        or one_step_homotopic(ident, r, J, kind))
+                Y = subspace(Y, [p for p in Y.points if p != x])
+            assert Y == core
+
+
+def test_homotopy_core_of_interval_powers_is_a_point():
+    for theory in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
+                   CUBE_JPLUS_BOX, SIMPLEX_J1, SIMPLEX_JPLUS):
+        J = parse_interval(theory.interval)
+        I = interval(J)
+        for X in (point_space(), I, product(I, I)):
+            assert len(homotopy_core(X, J, theory.product).points) == 1
