@@ -4,7 +4,8 @@ Over the integers, every matrix goes through ``_eliminate``, the one
 column elimination, sparse over Python ints, by unit pivots and Euclid
 steps; as in Dumas, Saunders and Villard (2001), ``smith`` then reduces
 only the small residue it leaves, densely.  They give invariant factors
-over Z, Q and every F_p, cycle lattices and integer homology bases.
+over Z, Q and every F_p, cycle lattices and integer homology bases, with
+coordinates in a cycle lattice read off the Euclid steps it logs.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
@@ -24,8 +25,9 @@ def _eliminate(columns):
     Euclid steps clear a row free columns share down to one, which owns it
     unless its entry is a unit: pivots still clear it, but it takes no
     steps.  Returns the unit pivots in removal order, each (row, unit,
-    column) with the column as it was when removed, its row popped, and
-    {index: column} of the rest, independent if nonzero."""
+    column) with the column as it was when removed, its row popped,
+    {index: column} of the rest, independent if nonzero, and the Euclid
+    steps in order, each (k, j, f) for column k -= f * column j."""
     cols = dict(enumerate({r: c for r, c in col.items() if c}
                           for col in columns))
     owned = set()  # columns that own a row: pivots still clear them
@@ -33,7 +35,7 @@ def _eliminate(columns):
     for j, col in cols.items():
         for r in col:
             at_row.setdefault(r, set()).add(j)
-    pivots = []
+    pivots, steps = [], []
     while True:
         before = len(pivots)
         for j in [j for j in cols if j not in owned]:
@@ -63,13 +65,14 @@ def _eliminate(columns):
         r = next((r for r, ks in at_row.items()
                   if r >= 0 and len(ks - owned) > 1), None)
         if r is None:
-            return pivots, cols
+            return pivots, cols, steps
         while len(active := at_row[r] - owned) > 1:
             j = min(active, key=lambda k: abs(cols[k][r]))
             col = cols[j]
             for k in active - {j}:
                 other = cols[k]
                 f = other[r] // col[r]
+                steps.append((k, j, f))
                 for s, c in col.items():
                     v = other.get(s, 0) - f * c
                     if v:
@@ -87,7 +90,7 @@ def rank_and_invariants(n_rows, columns):
 
     columns is an iterable of {row_index: coefficient} dicts over n_rows
     rows; each unit pivot is a factor 1, and ``smith`` takes the rest."""
-    pivots, cols = _eliminate(columns)
+    pivots, cols, _ = _eliminate(columns)
     rest = _residue(sorted({r for col in cols.values() for r in col}), cols)[0]
     return len(pivots) + len(rest), [1] * len(pivots) + rest
 
@@ -100,11 +103,30 @@ def _residue(rows, cols):
 
 def integer_kernel_basis(n_rows, columns):
     """A lattice basis, as sparse {column: coefficient} vectors, of the
-    integer kernel of a matrix given as sparse columns.  Column j carries
-    an entry 1 at key ~j < 0; the columns left with no row hold the basis."""
-    _, cols = _eliminate({**col, ~j: 1} for j, col in enumerate(columns))
-    return [{~s: c for s, c in col.items()}
-            for col in cols.values() if max(col) < 0]
+    integer kernel of a matrix given as sparse columns, and its reader.
+    Column j carries an entry 1 at key ~j < 0; the columns left with no
+    row hold the basis.  The reader gives z its {position: coefficient}
+    in the basis, read off w = z with each Euclid step, column k -= f *
+    column j, undone in order as w[j] += f * w[k] (a pivot's steps change
+    only its own entry, never read), or None unless they give z back."""
+    _, cols, steps = _eliminate({**col, ~j: 1}
+                                for j, col in enumerate(columns))
+    kept = [j for j, col in cols.items() if max(col) < 0]
+    basis = [{~s: c for s, c in cols[j].items()} for j in kept]
+    position = {j: r for r, j in enumerate(kept)}
+
+    def coords(z):
+        w, rest = dict(z), dict(z)
+        for k, j, f in steps:
+            if w.get(k):
+                w[j] = w.get(j, 0) + f * w[k]
+        y = {position[j]: c for j, c in w.items() if c and j in position}
+        for r, c in y.items():
+            for s, v in basis[r].items():
+                rest[s] = rest.get(s, 0) - c * v
+        return None if any(rest.values()) else y
+
+    return basis, coords
 
 
 def smith(rows_in):

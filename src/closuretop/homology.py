@@ -421,9 +421,9 @@ def singular_homology(X: FiniteClosureSpace, theory: Theory, n: int,
 class IntegerHomologyBasis:
     """Generators and coordinates for homology with integer coefficients.
 
-    The cycles form a lattice with a sparse basis from integer_kernel_basis;
-    a rational column reduction of that basis, each vector tagged with its
-    index, gives any cycle's lattice coordinates as the negated tag.
+    The cycles form a lattice with a sparse basis from integer_kernel_basis,
+    whose reader gives any cycle's lattice coordinates by replaying the
+    elimination's Euclid steps, and None for a chain outside the lattice.
     In those coordinates each boundary is a relation column, and they go
     through ``_eliminate``: a unit pivot drops a kernel vector with its
     relation, and Euclid steps only recombine relations, so the kernel
@@ -432,17 +432,12 @@ class IntegerHomologyBasis:
 
     def __init__(self, C: ChainComplex, n: int, reduced: bool = False):
         dim_n = C.dim(n)
-        kernel = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
-        self._lattice = FieldReducer(RationalField())
-        for r, z in enumerate(kernel):
-            self._lattice.add(z, {r: 1})
-        relations = []
-        for b in C.boundary_columns(n + 1):
-            a = self._lattice_coords(b)
-            if a is None:
-                raise AssertionError("boundary outside the cycle lattice")
-            relations.append(a)
-        self._pivots, cols = _eliminate(relations)
+        kernel, self._lattice_coords = integer_kernel_basis(
+            *_lower_boundary_data(C, n, reduced))
+        relations = list(map(self._lattice_coords, C.boundary_columns(n + 1)))
+        if None in relations:
+            raise AssertionError("boundary outside the cycle lattice")
+        self._pivots, cols, _ = _eliminate(relations)
         gone = {r for r, _, _ in self._pivots}
         self._rows = [r for r in range(len(kernel)) if r not in gone]
         diag, self._U, Uinv = _residue(self._rows, cols)
@@ -459,20 +454,8 @@ class IntegerHomologyBasis:
                         vec[s] += Uinv[t][i] * c
             self.generators.append(vec)
 
-    def _lattice_coords(self, chain):
-        """Sparse integer coordinates of a chain in the kernel basis.
-
-        None when the chain is not an integer combination of the basis.
-        """
-        rest, tag = self._lattice.reduce(chain, {})
-        if rest or any(c.denominator != 1 for c in tag.values()):
-            return None
-        return {r: -int(c) for r, c in tag.items()}
-
     def coords(self, cycle):
         """Coordinates of a cycle: torsion entries reduced modulo the order."""
-        if self.dimension == 0:
-            return []
         a = self._lattice_coords(dict(enumerate(cycle)))
         if a is None:
             raise ValueError("not a cycle in the tracked lattice")

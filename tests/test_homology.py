@@ -136,16 +136,19 @@ def _unit_free_columns(rng, n_rows, n_cols, density=0.3):
 
 
 def _check_integer_kernel(rng, n_rows, cols):
-    # a lattice basis of the kernel, and the solver: the rational reducer
-    # over the basis gives a lattice vector's coordinates as its negated tag
+    # a lattice basis of the kernel, and its reader against the oracle: the
+    # rational reducer over the basis gives a lattice vector's coordinates
+    # as its negated tag, and leaves a vector off the lattice a remainder
     n_cols = len(cols)
-    K = integer_kernel_basis(n_rows, cols)
+    K, coords = integer_kernel_basis(n_rows, cols)
     A = DomainMatrix.from_list_sympy(n_rows, n_cols, _dense(cols, n_rows))
     assert len(K) == n_cols - A.convert_to(QQ).rank()
     for k in K:
         for r in range(n_rows):
             assert sum(c * cols[j].get(r, 0) for j, c in k.items()) == 0
+    assert coords({}) == {}
     if not K:
+        assert coords({rng.randrange(n_cols): rng.choice((-1, 1))}) is None
         return
     # a basis of the whole lattice, not of a sublattice such as 2K: every
     # invariant factor is 1.  LLL changes the basis, not the lattice, and
@@ -157,14 +160,28 @@ def _check_integer_kernel(rng, n_rows, cols):
     lattice = FieldReducer(RationalField())
     for i, k in enumerate(K):
         assert lattice.add(k, {i: 1})[0]
-    coeffs = [rng.randint(-2, 2) for _ in K]
-    b = {}
-    for a, k in zip(coeffs, K):
-        for j, c in k.items():
-            b[j] = b.get(j, 0) + a * c
-    rest, tag = lattice.reduce(b, {})
-    assert rest == {}
-    assert [-tag.get(i, 0) for i in range(len(K))] == coeffs
+
+    def oracle(z):
+        rest, tag = lattice.reduce(z, {})
+        if rest or any(c.denominator != 1 for c in tag.values()):
+            return None
+        return {i: -int(c) for i, c in tag.items() if c}
+
+    for _ in range(4):
+        coeffs = [rng.randint(-2, 2) for _ in K]
+        b = {}
+        for a, k in zip(coeffs, K):
+            for j, c in k.items():
+                b[j] = b.get(j, 0) + a * c
+        want = {i: a for i, a in enumerate(coeffs) if a}
+        assert coords(b) == want == oracle(b)
+        # off the lattice unless the column moved along is zero
+        j = rng.randrange(n_cols)
+        b[j] = b.get(j, 0) + rng.choice((-1, 1))
+        assert coords(b) == oracle(b)
+        assert (coords(b) is None) == bool(cols[j])
+        z = {j: rng.randint(-3, 3) for j in range(n_cols)}
+        assert coords(z) == oracle(z)
 
 
 def test_integer_kernel_and_solver():
@@ -173,6 +190,15 @@ def test_integer_kernel_and_solver():
         n_rows = rng.randint(1, 5)
         cols = _rand_sparse_columns(rng, n_rows, rng.randint(1, 5))
         _check_integer_kernel(rng, n_rows, cols)
+    # with no unit entry the reader replays Euclid steps
+    stepped = 0
+    for _ in range(30):
+        n_rows = rng.randint(1, 5)
+        cols = _unit_free_columns(rng, n_rows, rng.randint(2, 8), 0.6)
+        stepped += bool(_linalg._eliminate(
+            {**col, ~j: 1} for j, col in enumerate(cols))[2])
+        _check_integer_kernel(rng, n_rows, cols)
+    assert stepped >= 15
 
 
 @settings(max_examples=40, deadline=None)
@@ -723,10 +749,25 @@ def test_homology_basis_coords_roundtrip():
     assert homology_basis(cases[0][0], 1, "q").dimension == 1
 
 
+def test_coords_refuse_a_non_cycle_when_the_group_is_zero():
+    # the directed 3-cycle is connected, so its reduced H0 is 0 over every
+    # ring; a vertex has augmentation 1 and is no reduced cycle
+    X = build_space(["a", "b", "c"],
+                    {"a": {"a", "b"}, "b": {"b", "c"}, "c": {"c", "a"}})
+    C = singular_chain_complex(X, CUBE_JPLUS_TIMES, 1)
+    vertex = [1] + [0] * (C.dim(0) - 1)
+    for coeffs in ("z", "q", "f2"):
+        B = homology_basis(C, 0, coeffs, reduced=True)
+        assert B.dimension == 0
+        assert B.coords([0] * C.dim(0)) == []
+        with pytest.raises(ValueError):
+            B.coords(vertex)
+
+
 def _dense_integer_orders(C, n, reduced):
     """Orders of the integer homology basis from the whole relation
     matrix, kernel rank x boundaries, handed to smith at once."""
-    kernel = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
+    kernel, _ = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
     lattice = FieldReducer(RationalField())
     for r, z in enumerate(kernel):
         lattice.add(z, {r: 1})
@@ -775,7 +816,7 @@ def test_integer_basis_hands_smith_only_the_residue(monkeypatch):
     """RP^2 has ten 1-cycles and unit relations: the sparse elimination
     drops kernel vectors with them before smith sees the rest."""
     C = complex_chain_complex(complex_from_text(RP2, True))
-    k = len(integer_kernel_basis(C.dim(0), C.boundary_columns(1)))
+    k = len(integer_kernel_basis(C.dim(0), C.boundary_columns(1))[0])
     seen = []
     real = _linalg.smith
 

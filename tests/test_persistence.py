@@ -838,6 +838,57 @@ def test_gh_cap():
     gh_distance(F, F, cap=7)
 
 
+def _stability_terms(seed, construction, kind):
+    """GH distance of a seeded pair of filtrations on 2-6 points, l1
+    metrics or weighted digraphs, and the bottleneck distances of their
+    degree 0 and 1 diagrams; infinite when the infinite bars differ in
+    number, which only an infinite GH distance allows.  Half the digraph
+    pairs have every edge, so that their GH distance is finite."""
+    rng = random.Random(seed)
+    density = rng.choice((0.6, 1))
+
+    def draw():
+        n = rng.randint(2, 6)
+        if kind == "metric":
+            return filtered_from_metric(rand_metric(rng, n))
+        pts = [f"v{i}" for i in range(n)]
+        weights = {(a, b): Fraction(rng.randint(1, 5)) for a in pts
+                   for b in pts if a != b and rng.random() < density}
+        return filtered_from_weighted_digraph(WeightedDigraph(pts, weights))
+
+    FX, FY = draw(), draw()
+    DX, DY = (persistence_complex(F, construction, max_dim=1)
+              for F in (FX, FY))
+    dists = []
+    for deg in (0, 1):
+        try:
+            dists.append(bottleneck(DX[deg], DY[deg]))
+        except InfinityMismatch:
+            dists.append(INF)
+    return gh_distance(FX, FY), dists
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["vr", "cech"]),
+       st.sampled_from(["metric", "digraph"]))
+def test_bottleneck_at_most_twice_gh(seed, construction, kind):
+    # the paper's stability theorem for its VR and Cech constructions
+    gh, dists = _stability_terms(seed, construction, kind)
+    assert all(d <= 2 * gh for d in dists)
+
+
+# seeds of _stability_terms whose pair attains the bound in some degree,
+# so that a GH distance read too large fails as well as one too small
+STABILITY_ATTAINED = {("vr", "metric"): 15, ("vr", "digraph"): 30,
+                      ("cech", "metric"): 15, ("cech", "digraph"): 167}
+
+
+def test_stability_bound_attained_on_seeded_pairs():
+    for (construction, kind), seed in STABILITY_ATTAINED.items():
+        gh, dists = _stability_terms(seed, construction, kind)
+        assert gh != INF and max(dists) == 2 * gh
+
+
 # ---------------------------------------------------------------------------
 # interleavings
 
