@@ -44,5 +44,7 @@ print("glued zigzag points:", len(G.points))
 
 # symmetrize keeps only the mutual pairs; the topological modification
 # makes the closure idempotent
-print("symmetrized X:", dict(symmetrize(X).closure_map))
-print("idempotent hull of X:", dict(topological_modification(X).closure_map))
+print("symmetrized X:",
+      {x: sorted(c) for x, c in symmetrize(X).closure_map.items()})
+print("idempotent hull of X:",
+      {x: sorted(c) for x, c in topological_modification(X).closure_map.items()})

@@ -3,9 +3,10 @@
 Over the integers, every matrix goes through ``_eliminate``, the one
 column elimination, sparse over Python ints, by unit pivots and Euclid
 steps; as in Dumas, Saunders and Villard (2001), ``smith`` then reduces
-only the small residue it leaves, densely.  They give invariant factors
-over Z, Q and every F_p, cycle lattices and integer homology bases, with
-coordinates in a cycle lattice read off the Euclid steps it logs.
+only the small residue it leaves, densely, in one pivot loop, least entry
+first.  They give invariant factors over Z, Q and every F_p, cycle
+lattices and integer homology bases, with coordinates in a cycle lattice
+read off the Euclid steps it logs.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
@@ -85,11 +86,11 @@ def _eliminate(columns):
             owned.add(j)
 
 
-def rank_and_invariants(n_rows, columns):
+def rank_and_invariants(columns):
     """Rank and invariant factors of an integer matrix given as sparse columns.
 
-    columns is an iterable of {row_index: coefficient} dicts over n_rows
-    rows; each unit pivot is a factor 1, and ``smith`` takes the rest."""
+    columns is an iterable of {row_index: coefficient} dicts; each unit
+    pivot is a factor 1, and ``smith`` takes the rest."""
     pivots, cols, _ = _eliminate(columns)
     rest = _residue(sorted({r for col in cols.values() for r in col}), cols)[0]
     return len(pivots) + len(rest), [1] * len(pivots) + rest
@@ -101,7 +102,7 @@ def _residue(rows, cols):
     return smith([[col.get(r, 0) for col in live] for r in rows])
 
 
-def integer_kernel_basis(n_rows, columns):
+def integer_kernel_basis(columns):
     """A lattice basis, as sparse {column: coefficient} vectors, of the
     integer kernel of a matrix given as sparse columns, and its reader.
     Column j carries an entry 1 at key ~j < 0; the columns left with no
@@ -133,101 +134,62 @@ def smith(rows_in):
     """Smith reduction D = U R V of a dense integer matrix (list of rows).
 
     Returns (diagonal, U, Uinv): the nonzero invariant factors, positive
-    and each dividing the next, and the row transform with its inverse.
-    Only the row transform is tracked; it is what expressing a quotient
-    Z^k / col(R) in invariant coordinates needs.
+    and each dividing the next, and the row transform with its inverse,
+    all that a quotient Z^k / col(R) in invariant coordinates needs.
+    One pivot loop, least entry first (Kannan and Bachem 1979): step t
+    moves an entry of least absolute value in rows and columns >= t to
+    (t, t) and takes floor multiples of row and column t from the rest.
+    A remainder is nonzero and smaller than the pivot, so the step starts
+    again on a smaller one, and the pivot cannot fall forever.  With row
+    and column t clear, a row holding an entry the pivot does not divide
+    is added to row t, to leave such a remainder; with none, the pivot is
+    the next factor.  The least pivot keeps the multiples, and U, small.
     """
     R = [list(r) for r in rows_in]
-    k = len(R)
-    m = len(R[0]) if k else 0
-    U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    Uinv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    k, m = len(R), len(R[0]) if R else 0
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    Uinv = [row[:] for row in U]
 
-    def row_add(i, j, q):
-        # row_i += q * row_j
+    def row_add(i, j, q):  # row i += q * row j
         R[i] = [a + q * b for a, b in zip(R[i], R[j])]
         U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in range(k):
-            Uinv[r][j] -= q * Uinv[r][i]
+        for row in Uinv:
+            row[j] -= q * row[i]
 
-    def row_swap(i, j):
-        R[i], R[j] = R[j], R[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(k):
-            Uinv[r][i], Uinv[r][j] = Uinv[r][j], Uinv[r][i]
-
-    def row_negate(i):
-        R[i] = [-a for a in R[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(k):
-            Uinv[r][i] = -Uinv[r][i]
-
-    def col_swap(a, b):
-        for r in range(k):
-            R[r][a], R[r][b] = R[r][b], R[r][a]
-
-    def col_add(a, b, q):
-        # col_a += q * col_b
-        for r in range(k):
-            R[r][a] += q * R[r][b]
-
-    diag = []
-    t = 0
-    while t < k and t < m:
-        best = None
-        for i in range(t, k):
-            for j in range(t, m):
-                if R[i][j] and (best is None or abs(R[i][j]) < abs(best[2])):
-                    best = (i, j, R[i][j])
-        if best is None:
+    diag, t = [], 0
+    while t < min(k, m):
+        block = [(abs(R[i][j]), i, j) for i in range(t, k)
+                 for j in range(t, m) if R[i][j]]
+        if not block:
             break
-        bi, bj, _ = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
-        while True:
-            moved = False
-            for i in range(t + 1, k):
-                if R[i][t] % R[t][t]:
-                    row_add(i, t, -(R[i][t] // R[t][t]))
-                    row_swap(t, i)
-                    moved = True
-                    break
-            if moved:
-                continue
-            for i in range(t + 1, k):
-                if R[i][t]:
-                    row_add(i, t, -(R[i][t] // R[t][t]))
-            moved = False
-            for j in range(t + 1, m):
-                if R[t][j] % R[t][t]:
-                    col_add(j, t, -(R[t][j] // R[t][t]))
-                    col_swap(t, j)
-                    moved = True
-                    break
-            if moved:
-                continue
-            for j in range(t + 1, m):
-                if R[t][j]:
-                    col_add(j, t, -(R[t][j] // R[t][t]))
-            if all(R[i][t] == 0 for i in range(t + 1, k)):
-                break
-        p = abs(R[t][t])
-        offender = None
+        _, i, j = min(block)
+        R[t], R[i], U[t], U[i] = R[i], R[t], U[i], U[t]
+        for row in Uinv:
+            row[t], row[i] = row[i], row[t]
+        for row in R:
+            row[t], row[j] = row[j], row[t]
+        p = R[t][t]
         for i in range(t + 1, k):
-            if any(R[i][j] % p for j in range(t + 1, m)):
-                offender = i
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
+            if R[i][t]:
+                row_add(i, t, -(R[i][t] // p))
+        for j in range(t + 1, m):
+            if q := R[t][j] // p:
+                for row in R:
+                    row[j] -= q * row[t]
+        if any(R[i][t] for i in range(t + 1, k)) or any(R[t][t + 1:]):
             continue
-        if R[t][t] < 0:
-            row_negate(t)
-        diag.append(R[t][t])
+        i = next((i for i in range(t + 1, k)
+                  if any(a % p for a in R[i][t + 1:])), None)
+        if i is not None:
+            row_add(t, i, 1)
+            continue
+        if p < 0:
+            R[t], U[t] = [-a for a in R[t]], [-a for a in U[t]]
+            for row in Uinv:
+                row[t] = -row[t]
+        diag.append(abs(p))
         t += 1
     return diag, U, Uinv
-
 
 
 # ---------------------------------------------------------------------------

@@ -151,19 +151,18 @@ class SimplicialMap:
         return hash(frozenset(self.mapping.items()))
 
 
-def cliques(later, max_size=None):
+def cliques(later):
     """Every clique of a graph, as an increasing tuple of vertex indices.
 
     Bit j of the int mask later[i] says that vertex i is adjacent to the
     vertex j > i.  The r-vertex cliques are the homomorphisms of the
     strict order on r vertices into that relation, a -> b for a < b, so
     they come from spaces.homomorphisms, lexicographically within each
-    size.  Sizes go up from 1 until one has no clique or passes
-    max_size, so a cap bounds the work as well as the output.
+    size.  Sizes go up from 1 until one has no clique.
     """
     earlier = [sum(1 << i for i in range(j) if later[i] >> j & 1)
                for j in range(len(later))]
-    for r in count(1) if max_size is None else range(1, max_size + 1):
+    for r in count(1):
         found = False
         for clique in homomorphisms([range(a + 1, r) for a in range(r)],
                                     (later, earlier)):

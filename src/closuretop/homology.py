@@ -350,12 +350,10 @@ class HomologyGroup:
 
 
 def _lower_boundary_data(C: ChainComplex, n: int, reduced: bool):
-    """(n_rows, columns) of the map out of degree n, with augmentation."""
+    """The columns of the map out of degree n, with augmentation."""
     if n >= 1:
-        return C.dim(n - 1), C.boundary_columns(n)
-    if reduced:
-        return 1, [{0: 1} for _ in range(C.dim(0))]
-    return 0, [{} for _ in range(C.dim(0))]
+        return C.boundary_columns(n)
+    return [{0: 1} if reduced else {} for _ in range(C.dim(0))]
 
 
 def homology_groups(C: ChainComplex, degrees, coefficients: str = "z",
@@ -373,7 +371,7 @@ def homology_groups(C: ChainComplex, degrees, coefficients: str = "z",
             raise DegreeOutOfRange(
                 f"degree {n} needs the complex built to {n + 1}, have {C.top}")
     # invs[m]: invariant factors of the map out of degree m
-    invs = {m: rank_and_invariants(*_lower_boundary_data(C, m, reduced))[1]
+    invs = {m: rank_and_invariants(_lower_boundary_data(C, m, reduced))[1]
             for m in sorted({m for n in degrees for m in (n, n + 1)})}
     groups = {}
     for n in degrees:
@@ -433,7 +431,7 @@ class IntegerHomologyBasis:
     def __init__(self, C: ChainComplex, n: int, reduced: bool = False):
         dim_n = C.dim(n)
         kernel, self._lattice_coords = integer_kernel_basis(
-            *_lower_boundary_data(C, n, reduced))
+            _lower_boundary_data(C, n, reduced))
         relations = list(map(self._lattice_coords, C.boundary_columns(n + 1)))
         if None in relations:
             raise AssertionError("boundary outside the cycle lattice")
@@ -486,7 +484,7 @@ class FieldHomologyBasis:
     def __init__(self, C: ChainComplex, n: int, field, reduced: bool = False):
         self.field = F = field
         dim_n = C.dim(n)
-        _, cols_low = _lower_boundary_data(C, n, reduced)
+        cols_low = _lower_boundary_data(C, n, reduced)
         kernel = FieldReducer(F)
         cycles = []
         for j, col in enumerate(cols_low):

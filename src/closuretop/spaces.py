@@ -345,6 +345,29 @@ class ProductKind(Enum):
     INDUCTIVE = "box"
 
 
+def _product(spaces, kind: ProductKind) -> FiniteClosureSpace:
+    """Product of a sequence of spaces; points are flat tuples, one
+    coordinate per space, in lexicographic order.
+
+    PRODUCT relates tuples coordinatewise; INDUCTIVE additionally
+    requires that at most one coordinate differs.  Under PRODUCT, tuples
+    with equal coordinate closures share one closure.
+    """
+    pts = list(itertools.product(*(X.points for X in spaces)))
+    maps = [X.closure_map for X in spaces]
+    cmap, shared = {}, {}
+    for t in pts:
+        key = tuple(c[x] for c, x in zip(maps, t))
+        if kind is ProductKind.PRODUCT:
+            if key not in shared:
+                shared[key] = frozenset(itertools.product(*key))
+            cmap[t] = shared[key]
+        else:
+            cmap[t] = frozenset([t, *(t[:i] + (y,) + t[i + 1:]
+                                      for i, cx in enumerate(key) for y in cx)])
+    return FiniteClosureSpace(pts, cmap)
+
+
 def product(X: FiniteClosureSpace, Y: FiniteClosureSpace,
             kind: ProductKind = ProductKind.PRODUCT) -> FiniteClosureSpace:
     """Product of two spaces; points are pairs (x, y) in lexicographic order.
@@ -352,18 +375,7 @@ def product(X: FiniteClosureSpace, Y: FiniteClosureSpace,
     PRODUCT: (x', y') in c(x, y) iff x' in c(x) and y' in c(y).
     INDUCTIVE: additionally x' = x or y' = y.
     """
-    pts = [(x, y) for x in X.points for y in Y.points]
-    cmap = {}
-    for x in X.points:
-        cx = X.closure_map[x]
-        for y in Y.points:
-            cy = Y.closure_map[y]
-            if kind is ProductKind.PRODUCT:
-                cl = {(x2, y2) for x2 in cx for y2 in cy}
-            else:
-                cl = {(x2, y) for x2 in cx} | {(x, y2) for y2 in cy}
-            cmap[(x, y)] = frozenset(cl)
-    return FiniteClosureSpace(pts, cmap)
+    return _product((X, Y), kind)
 
 
 def product_power(X: FiniteClosureSpace, n: int,
@@ -371,30 +383,10 @@ def product_power(X: FiniteClosureSpace, n: int,
     """n-fold product of X with itself; points are flat n-tuples.
 
     For n = 0 the result is the one-point space on the empty tuple.
-    PRODUCT relates tuples coordinatewise; INDUCTIVE additionally
-    requires that at most one coordinate differs.
     """
     if n < 0:
         raise BadParameter("n must be nonnegative")
-    pts = [()]
-    for _ in range(n):
-        pts = [t + (x,) for t in pts for x in X.points]
-    cmap = {}
-    shared = {}  # PRODUCT: tuples with equal coordinate closures share one
-    for t in pts:
-        if kind is ProductKind.PRODUCT:
-            key = tuple(X.closure_map[x] for x in t)
-            if key not in shared:
-                shared[key] = frozenset(itertools.product(*key))
-            cl = shared[key]
-        else:
-            cl = {t}
-            for i, x in enumerate(t):
-                for x2 in X.closure_map[x]:
-                    cl.add(t[:i] + (x2,) + t[i + 1:])
-            cl = list(cl)
-        cmap[t] = frozenset(cl)
-    return FiniteClosureSpace(pts, cmap)
+    return _product((X,) * n, kind)
 
 
 def coproduct(spaces) -> FiniteClosureSpace:

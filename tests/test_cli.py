@@ -64,9 +64,9 @@ def test_homology_eliminates_each_boundary_map_once(tmp_path, monkeypatch,
     calls = []
     rank_and_invariants = homology_mod.rank_and_invariants
 
-    def counted(n_rows, cols):
+    def counted(cols):
         calls.append(len(cols))
-        return rank_and_invariants(n_rows, cols)
+        return rank_and_invariants(cols)
 
     monkeypatch.setattr(homology_mod, "rank_and_invariants", counted)
     rng = random.Random(211)

@@ -56,7 +56,7 @@ def test_rank_and_invariants_against_sympy():
         n_cols = rng.randint(1, 6)
         cols = _rand_sparse_columns(rng, n_rows, n_cols)
         M = sympy.Matrix(_dense(cols, n_rows))
-        rank, invs = rank_and_invariants(n_rows, cols)
+        rank, invs = rank_and_invariants(cols)
         assert rank == M.rank()
         if rank:
             D = smith_normal_form(M)
@@ -140,7 +140,7 @@ def _check_integer_kernel(rng, n_rows, cols):
     # rational reducer over the basis gives a lattice vector's coordinates
     # as its negated tag, and leaves a vector off the lattice a remainder
     n_cols = len(cols)
-    K, coords = integer_kernel_basis(n_rows, cols)
+    K, coords = integer_kernel_basis(cols)
     A = DomainMatrix.from_list_sympy(n_rows, n_cols, _dense(cols, n_rows))
     assert len(K) == n_cols - A.convert_to(QQ).rank()
     for k in K:
@@ -234,6 +234,50 @@ def test_snf_row_transform_consistency():
             assert diag == []
 
 
+def _check_smith(R):
+    """smith(R) against sympy's invariant factors, with U * Uinv = I, the
+    rows of U R past the rank zero and row i divisible by d_i; returns its
+    time and the bit length of U's largest entry."""
+    k, m = len(R), len(R[0]) if R else 0
+    start = time.perf_counter()
+    diag, U, Uinv = smith(R)
+    seconds = time.perf_counter() - start
+    expect = []
+    if any(map(any, R)):
+        D = smith_normal_form(sympy.Matrix(R))
+        expect = [abs(D[i, i]) for i in range(min(k, m)) if D[i, i] != 0]
+    assert diag == expect
+    for i in range(k):
+        for j in range(k):
+            assert sum(U[i][t] * Uinv[t][j] for t in range(k)) == (i == j)
+    for i in range(k):
+        UR = [sum(U[i][t] * R[t][j] for t in range(k)) for j in range(m)]
+        if i < len(diag):
+            assert all(a % diag[i] == 0 for a in UR)
+        else:
+            assert not any(UR)
+    return seconds, max((abs(a).bit_length() for row in U for a in row),
+                        default=0)
+
+
+def test_smith_keeps_the_row_transform_small():
+    # whole unit-free matrices, as a direct caller hands them: without
+    # least-entry pivots, U reaches 10^5-bit entries and a 20x26 call
+    # takes minutes
+    rng = random.Random(137)
+    for _ in range(300):
+        k, m = rng.randint(0, 8), rng.randint(0, 8)
+        lo = rng.choice((0, -2, -6))
+        _check_smith([[rng.randint(lo, 6) * rng.choice((0, 1, 1))
+                       for _ in range(m)] for _ in range(k)])
+    for n_rows, n_cols, density in [(14, 18, 0.3), (20, 26, 0.3),
+                                    (20, 26, 0.6)]:
+        for _ in range(5):
+            cols = _unit_free_columns(rng, n_rows, n_cols, density)
+            seconds, bits = _check_smith(_dense(cols, n_rows))
+            assert seconds < 1 and bits < 2000
+
+
 def test_primality_against_sympy():
     assert [n for n in range(3000) if _is_prime(n)] == \
         list(sympy.primerange(3000))
@@ -265,7 +309,7 @@ def test_large_prime_coefficients():
 def test_unit_pivot_fast_path_on_structured_matrix():
     # block with many duplicate columns and a torsion block
     cols = [{0: 1, 1: -1}] * 5 + [{1: 2, 2: 2}, {2: 4}] + [{}]
-    rank, invs = rank_and_invariants(3, cols)
+    rank, invs = rank_and_invariants(cols)
     M = sympy.Matrix(_dense(cols, 3))
     D = smith_normal_form(M)
     assert rank == M.rank()
@@ -284,7 +328,7 @@ def _sympy_invariants(cols, n_rows):
 def test_unit_pivot_update_does_not_wrap_around_int64():
     # eliminating the unit pivot multiplies 2**40 by 2**40
     cols = [{0: 1, 1: 2 ** 40}, {0: 2 ** 40, 1: 1}]
-    assert rank_and_invariants(2, cols) == (2, [1, 2 ** 80 - 1])
+    assert rank_and_invariants(cols) == (2, [1, 2 ** 80 - 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,21 +343,21 @@ def test_rank_and_invariants_large_entries_against_sympy(seed):
         for r in col:
             if rng.random() < 0.5:
                 col[r] = rng.randint(-2 ** 40, 2 ** 40) or 1
-    rank, invs = rank_and_invariants(n_rows, cols)
+    rank, invs = rank_and_invariants(cols)
     expect = _sympy_invariants(cols, n_rows)
     assert rank == len(expect)
     assert sorted(invs) == expect
 
 
 def test_unit_free_invariants_against_sympy():
-    # smith sees only the residue Euclid steps leave; handed one whole
-    # unit-free 21x29 matrix, the dense reduction took minutes
+    # smith sees only the residue Euclid steps leave, which stays small;
+    # test_smith_keeps_the_row_transform_small hands it whole matrices
     rng = random.Random(131)
     for n_rows, n_cols in [(2, 2), (4, 5), (7, 9), (11, 15), (16, 22),
                            (21, 29), (26, 36)]:
         for density in (0.3, 0.6):
             cols = _unit_free_columns(rng, n_rows, n_cols, density)
-            rank, invs = rank_and_invariants(n_rows, cols)
+            rank, invs = rank_and_invariants(cols)
             expect = _sympy_invariants(cols, n_rows)
             assert rank == len(expect)
             assert sorted(invs) == expect
@@ -594,8 +638,8 @@ def test_undirected_square_h1():
     P = product(interval(j1()), interval(j1()), ProductKind.INDUCTIVE)
     C = cubical_chain_complex(P, CUBE_J1_TIMES, 2)
     assert C.dim(1) == 8
-    r1, _ = rank_and_invariants(C.dim(0), C.boundary_columns(1))
-    r2, _ = rank_and_invariants(C.dim(1), C.boundary_columns(2))
+    r1, _ = rank_and_invariants(C.boundary_columns(1))
+    r2, _ = rank_and_invariants(C.boundary_columns(2))
     assert C.dim(1) - r1 == 5 and r2 == 4
     g = homology(C, 1)
     assert g.rank == 1 and g.torsion == ()
@@ -767,7 +811,7 @@ def test_coords_refuse_a_non_cycle_when_the_group_is_zero():
 def _dense_integer_orders(C, n, reduced):
     """Orders of the integer homology basis from the whole relation
     matrix, kernel rank x boundaries, handed to smith at once."""
-    kernel, _ = integer_kernel_basis(*_lower_boundary_data(C, n, reduced))
+    kernel, _ = integer_kernel_basis(_lower_boundary_data(C, n, reduced))
     lattice = FieldReducer(RationalField())
     for r, z in enumerate(kernel):
         lattice.add(z, {r: 1})
@@ -816,7 +860,7 @@ def test_integer_basis_hands_smith_only_the_residue(monkeypatch):
     """RP^2 has ten 1-cycles and unit relations: the sparse elimination
     drops kernel vectors with them before smith sees the rest."""
     C = complex_chain_complex(complex_from_text(RP2, True))
-    k = len(integer_kernel_basis(C.dim(0), C.boundary_columns(1))[0])
+    k = len(integer_kernel_basis(C.boundary_columns(1))[0])
     seen = []
     real = _linalg.smith
 
