@@ -10,13 +10,26 @@ read off the Euclid steps it logs.
 
 Over a field, ``FieldReducer`` is the one elimination: the column
 reduction of Edelsbrunner, Letscher and Zomorodian (2002) and Zomorodian
-and Carlsson (2005) on sparse columns, generic over a tiny field protocol
-with rational and prime-field instances.  Kernel vectors, homology bases,
-quotient coordinates and persistence pairs are read off it.
+and Carlsson (2005) on sparse columns, over one ``Field``: Q with Fraction
+entries, or F_p with int entries reduced mod p.  Kernel vectors, homology
+bases, quotient coordinates and persistence pairs are read off it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def _sub_column(cols, at_row, k, f, col):
+    """Column k -= f * col in place, keeping at_row."""
+    other = cols[k]
+    for s, c in col.items():
+        v = other.get(s, 0) - f * c
+        if v:
+            other[s] = v
+            at_row[s].add(k)
+        else:
+            del other[s]
+            at_row[s].discard(k)
 
 
 def _eliminate(columns):
@@ -50,16 +63,7 @@ def _eliminate(columns):
             for s in col:
                 at_row[s].discard(j)
             for k in at_row.pop(r) - {j}:
-                other = cols[k]
-                f = other.pop(r) * p
-                for s, c in col.items():
-                    v = other.get(s, 0) - f * c
-                    if v:
-                        other[s] = v
-                        at_row[s].add(k)
-                    else:
-                        del other[s]
-                        at_row[s].discard(k)
+                _sub_column(cols, at_row, k, cols[k].pop(r) * p, col)
             pivots.append((r, p, col))
         if len(pivots) != before:
             continue
@@ -71,17 +75,9 @@ def _eliminate(columns):
             j = min(active, key=lambda k: abs(cols[k][r]))
             col = cols[j]
             for k in active - {j}:
-                other = cols[k]
-                f = other[r] // col[r]
+                f = cols[k][r] // col[r]
                 steps.append((k, j, f))
-                for s, c in col.items():
-                    v = other.get(s, 0) - f * c
-                    if v:
-                        other[s] = v
-                        at_row[s].add(k)
-                    else:
-                        del other[s]
-                        at_row[s].discard(k)
+                _sub_column(cols, at_row, k, f, col)
         if col[r] not in (1, -1):
             owned.add(j)
 
@@ -195,46 +191,6 @@ def smith(rows_in):
 # ---------------------------------------------------------------------------
 # fields: elements are Python numbers, and zero is the only false one
 
-class RationalField:
-    """The rationals, with Fraction elements."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def of(n):
-        return Fraction(n)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1 / a
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-
 # Miller-Rabin with the first 13 prime bases decides primality of every n
 # below the least strong pseudoprime to all of them (Sorenson and Webster,
 # "Strong pseudoprimes to twelve prime bases", 2017); the first 12 bases
@@ -267,47 +223,36 @@ def _is_prime(n):
     return True
 
 
-class PrimeField:
-    """F_p with integer elements in [0, p)."""
+class Field:
+    """Q for p = 0, with Fraction elements, else F_p for a prime p, with
+    int elements in [0, p).  Elements combine by Python's operators; over
+    F_p the caller reduces each result mod p."""
 
-    def __init__(self, p):
+    __slots__ = ("p", "zero")
+
+    def __init__(self, p=0):
         if p >= _PRIME_LIMIT:
             raise ValueError(f"{p} is too large; primes below {_PRIME_LIMIT} "
                              "are supported")
-        if not _is_prime(p):
+        if p and not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
+        self.zero = 0 if p else Fraction(0)
 
     def of(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+        return n % self.p if self.p else Fraction(n)
 
     def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def neg(self, a):
-        return (-a) % self.p
+        return pow(a, -1, self.p) if self.p else 1 / a
 
     def __repr__(self):
-        return f"F{self.p}"
+        return f"F{self.p}" if self.p else "Q"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, Field) and other.p == self.p
 
     def __hash__(self):
-        return hash(("F", self.p))
+        return hash(self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +270,11 @@ def _into(F, vec):
 
 def _subtract(F, vec, w, f):
     """vec -= f * w in place, dropping the entries that cancel."""
+    p, zero = F.p, F.zero
     for r, c in w.items():
-        v = F.sub(vec.get(r, F.zero), F.mul(f, c))
+        v = vec.get(r, zero) - f * c
+        if p:
+            v %= p
         if v:
             vec[r] = v
         else:
@@ -392,10 +340,10 @@ class FieldReducer:
         if col:
             F = self.field
             low = max(col)
-            if col[low] != F.one:
-                inv = F.inv(col[low])
+            if col[low] != 1:
+                p, inv = F.p, F.inv(col[low])
                 for vec in (col, tag or {}):
                     for k, c in vec.items():
-                        vec[k] = F.mul(inv, c)
+                        vec[k] = inv * c % p if p else inv * c
             self.pivots[low] = (col, tag)
         return col, tag

@@ -22,8 +22,8 @@ from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
-from ._linalg import (FieldReducer, PrimeField, RationalField, _eliminate,
-                      _residue, integer_kernel_basis, rank_and_invariants)
+from ._linalg import (Field, FieldReducer, _eliminate, _residue,
+                      integer_kernel_basis, rank_and_invariants)
 from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
 from .homotopy import homotopy_core
@@ -85,8 +85,10 @@ def parse_coefficients(text: str):
         return (text, None)
     if text.startswith("f") and text[1:].isdigit():
         p = int(text[1:])
+        if p == 0:  # Field(0) is Q
+            raise ParseError("0 is not prime")
         try:
-            PrimeField(p)
+            Field(p)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         return ("f", p)
@@ -506,7 +508,8 @@ class FieldHomologyBasis:
         rest, tag = self._reducer.reduce(dict(enumerate(cycle)), {})
         if rest:
             raise ValueError("vector is outside the tracked span")
-        return [F.neg(tag.get(g, F.zero)) for g in range(self.dimension)]
+        return [F.of(-tag[g]) if g in tag else F.zero
+                for g in range(self.dimension)]
 
 
 def _coefficient_field(coefficients):
@@ -514,7 +517,7 @@ def _coefficient_field(coefficients):
     kind, p = parse_coefficients(coefficients)
     if kind == "z":
         return None
-    return RationalField() if kind == "q" else PrimeField(p)
+    return Field(0 if kind == "q" else p)
 
 
 def homology_basis(C: ChainComplex, n: int, coefficients: str = "z",

@@ -286,10 +286,13 @@ def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",
 def _image(F, M, v):
     """The matrix M (a list of rows) applied to the sparse vector v."""
     out = {}
+    p = F.p
     for r, row in enumerate(M):
         c = F.zero
         for i, a in v.items():
-            c = F.add(c, F.mul(row[i], a))
+            c += row[i] * a
+        if p:
+            c %= p
         if c:
             out[r] = c
     return out
@@ -381,6 +384,7 @@ def tower_to_diagram(T: Tower) -> PersistenceDiagram:
     "Computing persistent homology" (2005).
     """
     F = T.field
+    one = F.of(1)
     k = len(T.grid)
     bars = []
     live = []  # (birth index, sparse vector in the current stage)
@@ -394,8 +398,8 @@ def tower_to_diagram(T: Tower) -> PersistenceDiagram:
             else:
                 bars.append((b, j))
         for r in range(T.dims[j]):
-            if reducer.add({r: F.one})[0]:
-                survivors.append((j, {r: F.one}))
+            if reducer.add({r: one})[0]:
+                survivors.append((j, {r: one}))
         live = survivors
     bars += [(b, k) for b, _ in live]
     ends = T.grid + (None,)
@@ -649,7 +653,7 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
         for i in range(k):
             j = shift[i]
             two = A.index_at(grid[i] + 2 * eps)
-            for e in ({r: F.one} for r in range(A.dims[i])):
+            for e in ({r: F.of(1)} for r in range(A.dims[i])):
                 # triangle: across and back equals the 2*eps structure
                 # map, once both are pushed to level t + 2*eps
                 there = _image(F, f[i], e)

@@ -24,7 +24,7 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         product_power, singular_chain_complex,
                         singular_homology, singular_homology_groups, vr)
 from closuretop import _linalg
-from closuretop._linalg import (FieldReducer, PrimeField, RationalField,
+from closuretop._linalg import (_PRIME_LIMIT, Field, FieldReducer,
                                 _is_prime, integer_kernel_basis,
                                 rank_and_invariants, smith)
 from closuretop.homology import (_cube_faces, _lower_boundary_data,
@@ -81,8 +81,7 @@ def _field_kernel(F, cols):
 def test_field_rank_and_kernel_against_sympy():
     rng = random.Random(73)
     big = 4294967311  # (p - 1)^2 is past the int64 range
-    fields = [(RationalField(), QQ)] + [(PrimeField(p), GF(p))
-                                        for p in (2, 3, 5, big)]
+    fields = [(Field(0), QQ)] + [(Field(p), GF(p)) for p in (2, 3, 5, big)]
     for _ in range(30):
         n_rows = rng.randint(1, 6)
         n_cols = rng.randint(1, 6)
@@ -101,20 +100,20 @@ def test_field_rank_and_kernel_against_sympy():
                 for r in range(n_rows):
                     acc = F.zero
                     for j, c in k.items():
-                        acc = F.add(acc, F.mul(c, F.of(cols[j].get(r, 0))))
-                    assert acc == F.zero
+                        acc += c * F.of(cols[j].get(r, 0))
+                    assert F.of(acc) == 0
 
 
 def test_field_rank_does_not_wrap_around_int64_for_large_primes():
     # (p - 1)^2 exceeds 2^63 - 1; the second column is p - 1 times the first
     p = 4294967311
     cols = [{0: 1, 1: p - 2}, {0: p - 1, 1: (p - 1) * (p - 2) % p}]
-    assert FieldReducer(PrimeField(p), cols).rank == 1
+    assert FieldReducer(Field(p), cols).rank == 1
 
 
 def test_field_reducer_stores_the_returned_column_scaled_to_one():
     rng = random.Random(127)
-    for F in (PrimeField(2), PrimeField(3), RationalField()):
+    for F in (Field(2), Field(3), Field(4294967311), Field(0)):
         reducer = FieldReducer(F)
         for j, col in enumerate(_rand_sparse_columns(rng, 6, 12)):
             tag = {j: 2, j + 1: -1}
@@ -124,8 +123,22 @@ def test_field_reducer_stores_the_returned_column_scaled_to_one():
             if rest:
                 stored = reducer.pivots[max(rest)]
                 assert stored[0] is rest and stored[1] is rest_tag
-        for low, (stored, _) in reducer.pivots.items():
-            assert max(stored) == low and stored[low] == F.one
+        for low, (stored, tag) in reducer.pivots.items():
+            assert max(stored) == low and stored[low] == 1
+            # entries keep their field's type, so that a change cannot
+            # move Q onto ints, or F_p onto Fractions, unseen
+            for c in [*stored.values(), *tag.values()]:
+                assert (type(c) is int and 0 <= c < F.p if F.p
+                        else type(c) is Fraction)
+
+
+def test_field_checks_its_prime():
+    for p in (1, 4, -3, _PRIME_LIMIT):
+        with pytest.raises(ValueError):
+            Field(p)
+    assert Field(2) == Field(2) and hash(Field(2)) == hash(Field(2))
+    assert Field(2) != Field(3) and Field(0) != Field(2)
+    assert (repr(Field(0)), repr(Field(3))) == ("Q", "F3")
 
 
 def _unit_free_columns(rng, n_rows, n_cols, density=0.3):
@@ -157,7 +170,7 @@ def _check_integer_kernel(rng, n_rows, cols):
                         (len(K), n_cols), ZZ).lll()
     D = smith_normal_form(rows.to_Matrix())
     assert [abs(D[i, i]) for i in range(len(K))] == [1] * len(K)
-    lattice = FieldReducer(RationalField())
+    lattice = FieldReducer(Field(0))
     for i, k in enumerate(K):
         assert lattice.add(k, {i: 1})[0]
 
@@ -724,7 +737,7 @@ def test_coefficient_consistency():
 def _field_rank_homology(C, n, p, reduced):
     """dim - rank_F(low) - rank_F(d_{n+1}) by field column reduction, the
     low map being d_n, or in degree 0 the augmentation when reduced."""
-    F = PrimeField(p)
+    F = Field(p)
     if n:
         low = C.boundary_columns(n)
     else:
@@ -812,7 +825,7 @@ def _dense_integer_orders(C, n, reduced):
     """Orders of the integer homology basis from the whole relation
     matrix, kernel rank x boundaries, handed to smith at once."""
     kernel, _ = integer_kernel_basis(_lower_boundary_data(C, n, reduced))
-    lattice = FieldReducer(RationalField())
+    lattice = FieldReducer(Field(0))
     for r, z in enumerate(kernel):
         lattice.add(z, {r: 1})
     relations = []

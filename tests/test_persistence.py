@@ -22,7 +22,7 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         persistence_complex,
                         persistence_tower, singular_chain_complex,
                         tower_to_diagram, verify_interleaving, vr)
-from closuretop._linalg import FieldReducer, PrimeField, RationalField
+from closuretop._linalg import Field, FieldReducer
 from closuretop.persistence import Tower, _pair_term
 from conftest import rand_metric, rand_space
 
@@ -237,7 +237,7 @@ def test_eighty_point_generic_metric():
         _union_find_diagram(pts, edges).as_multiset()
 
 
-FIELDS = {"f2": PrimeField(2), "f3": PrimeField(3), "q": RationalField()}
+FIELDS = {"f2": Field(2), "f3": Field(3), "q": Field(0)}
 
 
 def _boundary_reduction_diagrams(F, construction, max_dim, coefficients):
@@ -354,13 +354,13 @@ def test_tower_ranks_and_indexing():
 
 def test_tower_index_against_scan_and_grid_order():
     grid = (0, Fraction(1, 2), 2, 5)
-    T = Tower(grid, [0] * 4, [[]] * 3, PrimeField(2), 0)
+    T = Tower(grid, [0] * 4, [[]] * 3, Field(2), 0)
     for t in (-1, 0, Fraction(1, 4), Fraction(1, 2), 1, 2, 3, 5, 6):
         below = [i for i, v in enumerate(grid) if v <= t]
         assert T.index_at(t) == (below[-1] if below else None)
     for bad in ((0, 2, 1), (0, 1, 1)):
         with pytest.raises(ShapeMismatch):
-            Tower(bad, [0] * 3, [[]] * 2, PrimeField(2), 0)
+            Tower(bad, [0] * 3, [[]] * 2, Field(2), 0)
 
 
 def _oracle_mul(F, A, B, cols):
@@ -370,7 +370,7 @@ def _oracle_mul(F, A, B, cols):
         out.append([F.zero] * cols)
         for t, a in enumerate(row):
             for c in range(cols):
-                out[-1][c] = F.add(out[-1][c], F.mul(a, B[t][c]))
+                out[-1][c] = F.of(out[-1][c] + a * B[t][c])
     return out
 
 
@@ -386,8 +386,8 @@ def _oracle_rank(F, A):
         inv = F.inv(rows[rank][c])
         for r in range(len(rows)):
             if r != rank and rows[r][c]:
-                f = F.mul(rows[r][c], inv)
-                rows[r] = [F.sub(a, F.mul(f, b))
+                f = F.of(rows[r][c] * inv)
+                rows[r] = [F.of(a - f * b)
                            for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
@@ -398,7 +398,7 @@ def _oracle_diagram(T):
     F, k = T.field, len(T.grid)
     r = [[0] * k for _ in range(k)]
     for i in range(k):
-        acc = [[F.one if a == b else F.zero for b in range(T.dims[i])]
+        acc = [[F.of(1) if a == b else F.zero for b in range(T.dims[i])]
                for a in range(T.dims[i])]
         r[i][i] = T.dims[i]
         for j in range(i + 1, k):
@@ -422,7 +422,7 @@ def _oracle_diagram(T):
 
 def test_tower_sweep_matches_rank_function_oracle():
     rng = random.Random(577)
-    fields = [PrimeField(2), PrimeField(3), RationalField()]
+    fields = [Field(2), Field(3), Field(0)]
     ranks_seen = set()
     for n in range(1200):
         F = fields[n % 3]
@@ -904,7 +904,7 @@ def _merged_towers(FX, FY, degree, eps):
 def _oracle_structure(T, i, j):
     """The structure map of T from stage i to stage j as a dense matrix."""
     F = T.field
-    acc = [[F.one if a == b else F.zero for b in range(T.dims[i])]
+    acc = [[F.of(1) if a == b else F.zero for b in range(T.dims[i])]
            for a in range(T.dims[i])]
     for k in range(i, j):
         acc = _oracle_mul(F, T.maps[k], acc, T.dims[i])
@@ -960,7 +960,7 @@ def test_verify_interleaving_against_dense_oracle():
     # entries added to one phi[i] or psi[i] can break one square alone,
     # and random maps between random towers one triangle alone
     rng = random.Random(599)
-    fields = [PrimeField(2), PrimeField(3), RationalField()]
+    fields = [Field(2), Field(3), Field(0)]
     seen = set()
     for n in range(600):
         F = fields[n % 3]
@@ -975,7 +975,7 @@ def test_verify_interleaving_against_dense_oracle():
             for row in rng.choice((phi, psi))[rng.randrange(len(grid))]:
                 for c in range(len(row)):
                     if rng.random() < 0.5:
-                        row[c] = F.add(row[c], F.of(rng.randint(1, 2)))
+                        row[c] = F.of(row[c] + rng.randint(1, 2))
         else:
             N = _rand_tower(rng, F, grid)
             phi = [_rand_matrix(rng, F, N.dims[j], M.dims[i])
@@ -1014,7 +1014,7 @@ def test_interleaving_rejects_bad_maps():
     grid = (Fraction(0), Fraction(1))
     T1 = persistence_tower(X1, "complex-vr", 0, "f2", grid=grid)
     F = T1.field
-    one = F.one
+    one = F.of(1)
     zero = F.zero
     # zero maps have the right shapes but break the triangle identity
     phi = [[[zero, zero]], [[zero]]]
@@ -1031,3 +1031,17 @@ def test_interleaving_rejects_bad_maps():
     T3 = persistence_tower(X1, "complex-vr", 0, "f2", grid=grid3)
     with pytest.raises(ShapeMismatch):
         verify_interleaving(T3, T1, 0, phi, psi)
+
+
+def test_verify_interleaving_refuses_towers_over_different_fields():
+    # the identity interleaves a tower with itself at eps 0; the same tower
+    # over another field on the same grid is refused
+    def tower(p):
+        F = Field(p)
+        return Tower((0, 1), [1, 1], [[[F.of(1)]]], F, 0)
+
+    ident = [[[1]], [[1]]]
+    for p, q in ((2, 3), (2, 0)):
+        assert verify_interleaving(tower(p), tower(p), 0, ident, ident)
+        with pytest.raises(ShapeMismatch):
+            verify_interleaving(tower(p), tower(q), 0, ident, ident)
