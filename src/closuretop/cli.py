@@ -23,15 +23,19 @@ from .homology import (parse_coefficients, parse_theory,
                        singular_homology_groups)
 from .homotopy import HomotopyQuery, homotopic
 from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
-                          gh_distance, load_diagram, persistence_complex)
-from .spaces import (ContinuousMap, ProductKind, _canon_point, load_space,
-                     parse_interval)
+                          gh_distance, load_diagram, num_out,
+                          persistence_complex)
+from .spaces import (ContinuousMap, ProductKind, load_space, parse_interval,
+                     point_names, read_json)
+
+# the exit code of each error type; any other ClosureError or OSError is 1
+_EXIT_CODES = ((ParseError, 2), (DimensionTooLarge, 3))
 
 
 def _fmt(x) -> str:
     if x == math.inf:
         return "inf"
-    return f"{float(x):.9f}"
+    return f"{num_out(x):.9f}"
 
 
 def _nonnegative(text: str) -> int:
@@ -57,7 +61,7 @@ def _load_filtration(args):
                                 bool(args.metric))
     if args.space and args.sublevel:
         X = load_space(args.space)
-        point = _point_names(X, args.sublevel, "point")
+        point = point_names(X.points, args.sublevel)
         with open(args.sublevel, "r", encoding="utf-8") as fh:
             f = {point(k): v for k, v in sublevel_from_csv(fh.read()).items()}
         try:
@@ -113,9 +117,9 @@ def _plot_svg(diagrams, path):
 
 
 def _arithmetic(coeffs) -> str:
-    kind, p = parse_coefficients(coeffs)
-    return {"z": "exact-integer", "q": "exact-rational"}.get(
-        kind, f"exact-mod-{p}")
+    field = parse_coefficients(coeffs)
+    return ("exact-integer" if field is None else
+            f"exact-mod-{field.p}" if field.p else "exact-rational")
 
 
 def cmd_homology(args) -> int:
@@ -176,43 +180,19 @@ def cmd_gh(args) -> int:
     return 0
 
 
-def _load_mapping(path):
+def _load_map(path, X, Y) -> ContinuousMap:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad map JSON in {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"map file {path} must be a JSON object")
-    return obj
-
-
-def _point_names(X, path, role):
-    """Look up a point of X by the name a file gives it: its str, a JSON
-    list standing for a tuple as in space files."""
-    by_name = {str(p): p for p in X.points}
-
-    def point(name):
-        key = str(_canon_point(name))
-        if key not in by_name:
-            raise ParseError(f"{path}: unknown {role} {name!r}")
-        return by_name[key]
-    return point
-
-
-def _resolve_mapping(raw, X, Y, path):
-    src = _point_names(X, path, "source point")
-    tgt = _point_names(Y, path, "target point")
-    return {src(k): tgt(v) for k, v in raw.items()}
+        raw = read_json(fh.read(), f"map {path}")
+    src = point_names(X.points, f"{path} (source)")
+    tgt = point_names(Y.points, f"{path} (target)")
+    return ContinuousMap(X, Y, {src(k): tgt(v) for k, v in raw.items()})
 
 
 def cmd_homotopic(args) -> int:
     X = load_space(args.source)
     Y = load_space(args.target)
-    f = ContinuousMap(X, Y, _resolve_mapping(_load_mapping(args.map1),
-                                             X, Y, args.map1))
-    g = ContinuousMap(X, Y, _resolve_mapping(_load_mapping(args.map2),
-                                             X, Y, args.map2))
+    f = _load_map(args.map1, X, Y)
+    g = _load_map(args.map2, X, Y)
     query = HomotopyQuery(interval=parse_interval(args.interval),
                           product=ProductKind(args.product),
                           max_steps=args.max_steps, size_cap=args.cap)
@@ -327,18 +307,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ClosureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ClosureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kind, code in _EXIT_CODES
+                     if isinstance(exc, kind)), 1)
 
 
 if __name__ == "__main__":

@@ -79,19 +79,21 @@ def parse_theory(name: str) -> Theory:
 
 
 def parse_coefficients(text: str):
-    """Parse a coefficient spec: 'z', 'q', or 'f<p>' for a prime p."""
+    """The ring of a coefficient spec: None for 'z', Field(0) for 'q' and
+    Field(p) for 'f<p>' with p prime."""
     text = text.strip().lower()
-    if text in ("z", "q"):
-        return (text, None)
-    if text.startswith("f") and text[1:].isdigit():
+    if text == "z":
+        return None
+    if text == "q":
+        return Field(0)
+    if text.startswith("f") and text[1:].isdecimal():
         p = int(text[1:])
         if p == 0:  # Field(0) is Q
             raise ParseError("0 is not prime")
         try:
-            Field(p)
+            return Field(p)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        return ("f", p)
     raise ParseError(f"unknown coefficients {text!r}; use z, q, or f<p>")
 
 
@@ -340,8 +342,7 @@ class HomologyGroup:
     coefficients: str = "z"
 
     def __str__(self):
-        sym = {"z": "Z", "q": "Q"}.get(self.coefficients,
-                                       self.coefficients.upper())
+        sym = self.coefficients.upper()
         parts = []
         if self.rank == 1:
             parts.append(sym)
@@ -364,7 +365,9 @@ def homology_groups(C: ChainComplex, degrees, coefficients: str = "z",
     max(degrees) + 1; each boundary map is eliminated once.
 
     Over F_p a map's rank counts its invariant factors prime to p."""
-    kind, p = parse_coefficients(coefficients)
+    field = parse_coefficients(coefficients)
+    p = 0 if field is None else field.p
+    label = "z" if field is None else str(field).lower()
     degrees = list(degrees)
     for n in degrees:
         if n < 0:
@@ -378,10 +381,10 @@ def homology_groups(C: ChainComplex, degrees, coefficients: str = "z",
     groups = {}
     for n in degrees:
         betti = C.dim(n) - sum(1 for d in invs[n] + invs[n + 1]
-                               if kind != "f" or d % p)
+                               if not p or d % p)
         torsion = (tuple(sorted(d for d in invs[n + 1] if d > 1))
-                   if kind == "z" else ())
-        groups[n] = HomologyGroup(betti, torsion, f"{kind}{p or ''}")
+                   if field is None else ())
+        groups[n] = HomologyGroup(betti, torsion, label)
     return groups
 
 
@@ -512,17 +515,9 @@ class FieldHomologyBasis:
                 for g in range(self.dimension)]
 
 
-def _coefficient_field(coefficients):
-    """The field of a coefficient spec: Q, F_p, or None for z."""
-    kind, p = parse_coefficients(coefficients)
-    if kind == "z":
-        return None
-    return Field(0 if kind == "q" else p)
-
-
 def homology_basis(C: ChainComplex, n: int, coefficients: str = "z",
                    reduced: bool = False):
-    field = _coefficient_field(coefficients)
+    field = parse_coefficients(coefficients)
     if n < 0 or n + 1 > C.top:
         raise DegreeOutOfRange(f"degree {n} needs the complex built to {n + 1}")
     if field is None:

@@ -304,9 +304,10 @@ def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
 
 
 def _check_size(query: HomotopyQuery, X, Y):
-    if len(X.points) > query.size_cap or len(Y.points) > query.size_cap:
-        raise CapExceeded(
-            f"spaces exceed the size cap {query.size_cap}; raise size_cap to override")
+    # J has m + 1 points, and is built before any map is searched
+    if max(len(X.points), len(Y.points), query.interval.m + 1) > query.size_cap:
+        raise CapExceeded(f"spaces or interval exceed the size cap "
+                          f"{query.size_cap}; raise size_cap to override")
 
 
 def _witness(graph: MapGraph, chain) -> HomotopyWitness:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,17 +27,17 @@ from .complexes import cech, vr
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
 from .filtrations import FilteredClosureSpace
-from .homology import (Theory, _coefficient_field, complex_chain_complex,
-                       homology_basis, induced_map_between,
+from .homology import (Theory, complex_chain_complex, homology_basis,
+                       induced_map_between, parse_coefficients,
                        singular_chain_complex)
-from .spaces import homomorphisms
+from .spaces import homomorphisms, read_json
 
 INF = math.inf
 DEFAULT_GH_CAP = 6
 
 
 def _field_from_spec(coefficients):
-    field = _coefficient_field(coefficients)
+    field = parse_coefficients(coefficients)
     if field is None:
         raise BadParameter(
             "persistence needs field coefficients (q or f<p>)")
@@ -72,8 +73,13 @@ class PersistenceDiagram:
         return len(self.pairs)
 
 
-def _num_out(v):
-    return float(v)
+def num_out(v) -> float:
+    """v as the float that output prints; BadParameter beyond its range."""
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise BadParameter("a value beyond the float range cannot be "
+                           "printed") from exc
 
 
 def _num_in(v):
@@ -82,21 +88,18 @@ def _num_in(v):
         return Fraction(repr(v))
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    raise ParseError(f"not a finite number: {v!r}")
+    raise ParseError(f"not a finite number: {reprlib.repr(v)}")
 
 
 def diagram_to_json(D: PersistenceDiagram) -> str:
-    pairs = [[_num_out(b), "inf" if d is None else _num_out(d)]
+    pairs = [[num_out(b), "inf" if d is None else num_out(d)]
              for b, d in D.sorted_pairs()]
     return json.dumps({"degree": D.degree, "pairs": pairs})
 
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad diagram JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "degree" not in obj or "pairs" not in obj:
+    obj = read_json(text, "diagram")
+    if "degree" not in obj or "pairs" not in obj:
         raise ParseError("diagram JSON needs 'degree' and 'pairs'")
     degree = obj["degree"]
     if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
@@ -106,7 +109,7 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
     pairs = []
     for item in obj["pairs"]:
         if not isinstance(item, list) or len(item) != 2:
-            raise ParseError(f"bad pair {item!r}")
+            raise ParseError(f"bad pair {reprlib.repr(item)}")
         b = _num_in(item[0])
         d = None if item[1] == "inf" else _num_in(item[1])
         pairs.append((b, d))

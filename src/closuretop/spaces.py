@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -416,24 +417,15 @@ def _quotient(Y: FiniteClosureSpace, pairs):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    # built in Y's point order, so each class lists its least member first
     classes = {}
     for x in Y.points:
         classes.setdefault(find(x), []).append(x)
-    order = {x: i for i, x in enumerate(Y.points)}
-    label = {}
-    for members in classes.values():
-        rep = min(members, key=order.__getitem__)
-        for x in members:
-            label[x] = rep
-    qpts = [x for x in Y.points if label[x] == x]
-    cmap = {}
-    for q in qpts:
-        fiber = [x for x in Y.points if label[x] == q]
-        cl = set()
-        for x in fiber:
-            cl |= {label[y] for y in Y.closure_map[x]}
-        cmap[q] = frozenset(cl)
-    return FiniteClosureSpace(qpts, cmap), label
+    label = {x: members[0] for members in classes.values() for x in members}
+    cmap = {members[0]: frozenset(label[y] for x in members
+                                  for y in Y.closure_map[x])
+            for members in classes.values()}
+    return FiniteClosureSpace(list(cmap), cmap), label
 
 
 def coequalizer(f: ContinuousMap, g: ContinuousMap):
@@ -594,42 +586,74 @@ def point_space(label="*") -> FiniteClosureSpace:
 
 
 # ---------------------------------------------------------------------------
-# file format: { "points": [ids], "closure": { id: [ids] } }
+# file formats: a space is { "points": [ids], "closure": { name: [ids] } }
+
+def read_json(text: str, what: str) -> dict:
+    """The JSON object of a what file; ParseError if the text is no JSON
+    object or is nested too deeply to decode."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what}: JSON nested too deeply") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{what}: expected a JSON object")
+    return data
+
 
 def _canon_point(p):
-    """JSON has no tuples; nested lists in a space file become tuples."""
+    """JSON has no tuples; nested lists in a file become tuples.  A list
+    nested too deeply to convert is a ParseError, raised by the level that
+    runs out of recursion and passed on by the levels above it."""
     if isinstance(p, list):
-        return tuple(_canon_point(q) for q in p)
+        try:
+            return tuple(_canon_point(q) for q in p)
+        except RecursionError as exc:
+            raise ParseError("a point is nested too deeply") from exc
     if isinstance(p, dict):
-        raise ParseError(f"a point cannot be a JSON object: {p!r}")
+        raise ParseError(f"a point cannot be a JSON object: {reprlib.repr(p)}")
     return p
+
+
+def point_names(points, where):
+    """The function from a file's name for a point to the point.  A point's
+    name is its str, and a JSON list stands for a tuple, so "(0, 1)" and
+    [0, 1] both name (0, 1).  Two points with one name and an unknown name
+    are ParseErrors, and where begins their messages."""
+    by_name = {}
+    for p in points:
+        name = str(p)
+        if name in by_name:
+            raise ParseError(f"{where}: points {by_name[name]!r} and {p!r} "
+                             f"share the name {name!r}")
+        by_name[name] = p
+
+    def point(name):
+        try:
+            return by_name[str(_canon_point(name))]
+        except KeyError:
+            raise ParseError(f"{where}: unknown point {name!r}") from None
+    return point
 
 
 def space_from_json(text: str) -> FiniteClosureSpace:
     """Parse a closure space from its JSON format; enforces reflexivity."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "points" not in data or "closure" not in data:
+    data = read_json(text, "space")
+    if "points" not in data or "closure" not in data:
         raise ParseError('expected an object with "points" and "closure"')
     if not isinstance(data["points"], list) or not data["points"]:
         raise ParseError('"points" must be a nonempty list')
     points = [_canon_point(p) for p in data["points"]]
-    by_name = {str(p): p for p in points}
+    point = point_names(points, "space")
     raw = data["closure"]
     if not isinstance(raw, dict):
         raise ParseError('"closure" must be an object')
     closure_of = {}
     for key, vals in raw.items():
-        if key not in by_name:
-            raise ParseError(f"closure key {key!r} is not a listed point")
         if not isinstance(vals, list):
             raise ParseError(f"closure of {key!r} must be a list")
-        try:
-            closure_of[by_name[key]] = [by_name[str(_canon_point(v))] for v in vals]
-        except KeyError as exc:
-            raise ParseError(f"closure of {key!r} mentions unknown point {exc}") from exc
+        closure_of[point(key)] = [point(v) for v in vals]
     try:
         return FiniteClosureSpace(points, closure_of)
     except (MissingPoint, NotReflexive, BadParameter) as exc:
@@ -637,7 +661,11 @@ def space_from_json(text: str) -> FiniteClosureSpace:
 
 
 def space_to_json(X: FiniteClosureSpace) -> str:
-    """Serialize a closure space to its JSON format."""
+    """X in its JSON format; BadParameter if two points share a name."""
+    try:
+        point_names(X.points, "space")
+    except (ParseError, RecursionError) as exc:  # shared or too deep to name
+        raise BadParameter(str(exc)) from exc
     key = {x: repr(x) for x in X.points}
     return json.dumps({
         "points": list(X.points),

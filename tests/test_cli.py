@@ -290,3 +290,65 @@ def test_reused_parser_gives_fresh_results(square_path, space_path,
     assert fresh == reused
     assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0]
     assert reused[3] == reused[0]
+
+
+def _nested(depth):
+    return "[" * depth + "0" + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_deeply_nested_files_are_parse_errors(tmp_path, space_path, depth,
+                                              capsys):
+    # a space, map or diagram file nested too deeply to read exits 2
+    sp = tmp_path / "deep.json"
+    sp.write_text('{"points": [%s], "closure": {}}' % _nested(depth))
+    f = tmp_path / "f.json"
+    f.write_text('{"a": "a", "b": "a", "c": %s}' % _nested(depth))
+    good = tmp_path / "good.json"
+    good.write_text('{"degree": 0, "pairs": [[0, 1]]}')
+    diagrams = [tmp_path / f"d{i}.json" for i in range(3)]
+    diagrams[0].write_text('{"degree": 0, "pairs": [%s]}' % _nested(depth))
+    diagrams[1].write_text('{"degree": 0, "pairs": [[0, %s]]}'
+                           % _nested(depth))
+    diagrams[2].write_text('{"degree": %s, "pairs": []}' % _nested(depth))
+    calls = ([["homology", str(sp)], ["vr", str(sp)],
+              ["homotopic", space_path, space_path, str(f), str(f)]]
+             + [["bottleneck", str(d), str(good)] for d in diagrams])
+    for argv in calls:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200, argv
+
+
+def test_shared_point_names_are_parse_errors(tmp_path, capsys):
+    sp = tmp_path / "s.json"
+    sp.write_text('{"points": [1, "1"], "closure": {"1": ["1"]}}')
+    assert main(["homology", str(sp)]) == 2
+    assert "points 1 and '1' share the name '1'" in capsys.readouterr().err
+
+
+def test_numbers_beyond_float_range_are_errors(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("0,1e400\n1e400,0\n")
+    one = tmp_path / "one.csv"
+    one.write_text("0,1\n1,0\n")
+    for argv in (["persist", "--metric", str(big)],
+                 ["persist", "--metric", str(big), "--json"],
+                 ["gh", "--metric", str(big), str(one)]):
+        assert main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.err == ("error: a value beyond the float range cannot "
+                           "be printed\n"), argv
+
+
+def test_interval_counts_against_the_size_cap(tmp_path, capsys):
+    pt = tmp_path / "pt.json"
+    pt.write_text(space_to_json(build_space(["p"], {"p": {"p"}})))
+    f = tmp_path / "f.json"
+    f.write_text('{"p": "p"}')
+    argv = ["homotopic", str(pt), str(pt), str(f), str(f), "--cap", "5"]
+    assert main(argv + ["--interval", "top:4"]) == 0
+    capsys.readouterr()
+    # top:5 has six points, one over the cap
+    assert main(argv + ["--interval", "top:5"]) == 1
+    assert "exceed the size cap 5" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from closuretop import (BadParameter, ContinuousMap, Hypergraph, MissingPoint,
                         build_space, cech, complex_from_text, complex_to_text,
                         contiguous, cosk1, cosk_inf, dc, g_functor, gamma,
                         is_continuous, is_hypergraph_map, is_simplicial,
-                        symmetrize, tr1, tr_inf, vr)
+                        load_complex, symmetrize, tr1, tr_inf, vr)
 from closuretop.complexes import cliques
 from conftest import all_spaces, rand_space
 
@@ -279,6 +279,17 @@ def test_complex_text_roundtrip():
         complex_from_text("")
     with pytest.raises(ParseError):
         complex_from_text("a a b\n")
+
+
+def test_load_complex_and_dimension(tmp_path):
+    path = tmp_path / "k.txt"
+    path.write_text("# a triangle and an edge\na b c\nc d\n")
+    K = load_complex(str(path), close_downward=True)
+    assert K == complex_from_text("a b c\nc d\n", close_downward=True)
+    assert K.dimension() == 2
+    assert complex_from_text("a\nb\n").dimension() == 0
+    with pytest.raises(ParseError):
+        load_complex(str(path))  # faces missing, no closure requested
 
 
 def test_complex_text_reads_back_vr_and_cech_output():

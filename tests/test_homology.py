@@ -301,9 +301,20 @@ def test_primality_against_sympy():
         assert _is_prime(n) == sympy.isprime(n)
 
 
+def test_parse_coefficients_gives_the_ring():
+    assert parse_coefficients("z") is None
+    assert parse_coefficients(" Q ") == Field(0)
+    assert parse_coefficients("F3") == Field(3)
+    for text, message in (("f0", "0 is not prime"), ("f4", "4 is not prime"),
+                          ("f\u00b2", "unknown coefficients"),
+                          ("r", "unknown coefficients")):
+        with pytest.raises(ParseError, match=message):
+            parse_coefficients(text)
+
+
 def test_large_prime_coefficients():
     start = time.perf_counter()
-    assert parse_coefficients("f1000000000000000003") == ("f", 10 ** 18 + 3)
+    assert parse_coefficients("f1000000000000000003") == Field(10 ** 18 + 3)
     assert time.perf_counter() - start < 0.5
     with pytest.raises(ParseError):
         parse_coefficients("f1000000000000000001")  # 101 * 9901 * ...

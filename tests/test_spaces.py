@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from closuretop import (BadParameter, ContinuousMap, FiniteClosureSpace,
                         IntervalFamily, IntervalSpec, MissingPoint,
                         NotContinuous, NotReflexive, ParseError, ProductKind,
-                        build_space,
+                        SourceTargetMismatch, build_space,
                         closure, coequalizer, coproduct, interior, interval,
                         is_closed, is_continuous, is_open, is_symmetric, j1,
                         j_bits, j_bot, j_leq, j_minus, j_plain, j_plus, j_top,
@@ -16,7 +16,8 @@ from closuretop import (BadParameter, ContinuousMap, FiniteClosureSpace,
                         pushout, qd, relabel, reverse, space_from_json,
                         space_to_json, subspace, symmetrize,
                         topological_modification)
-from closuretop.spaces import homomorphisms, parse_interval
+from closuretop.spaces import (_quotient, homomorphisms, parse_interval,
+                               point_names)
 from conftest import rand_space
 
 SEED_SPACES = [rand_space(random.Random(100 + i), n, p)
@@ -304,6 +305,114 @@ def test_json_roundtrip():
         assert space_from_json(space_to_json(X)) == X
     P = product(SEED_SPACES[2], SEED_SPACES[1], ProductKind.PRODUCT)
     assert space_from_json(space_to_json(P)) == P
+
+
+def test_compose_and_closure_of():
+    X = build_space(["a", "b"], {"a": {"a", "b"}, "b": {"b"}})
+    Y = build_space([0, 1], {0: {0, 1}, 1: {1}})
+    Z = point_space("z")
+    f = ContinuousMap(X, Y, {"a": 0, "b": 1})
+    g = ContinuousMap.constant(Y, Z, "z")
+    gf = g.compose(f)
+    assert gf == ContinuousMap.constant(X, Z, "z")
+    assert f.compose(ContinuousMap.identity(X)) == f
+    with pytest.raises(SourceTargetMismatch):
+        f.compose(g)  # g lands in Z, but f starts at X
+    assert X.closure_of("a") == frozenset({"a", "b"})
+    with pytest.raises(MissingPoint):
+        X.closure_of("c")
+
+
+def _rescan_quotient(Y, pairs):
+    """The quotient as the rescanning implementation built it: union-find,
+    each class labeled by its least member in Y's point order, and each
+    quotient point's fiber found by a scan over all points."""
+    parent = {x: x for x in Y.points}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    order = {x: i for i, x in enumerate(Y.points)}
+    classes = {}
+    for x in Y.points:
+        classes.setdefault(find(x), []).append(x)
+    label = {}
+    for members in classes.values():
+        rep = min(members, key=order.__getitem__)
+        for x in members:
+            label[x] = rep
+    qpts = [x for x in Y.points if label[x] == x]
+    cmap = {}
+    for q in qpts:
+        cl = set()
+        for x in Y.points:
+            if label[x] == q:
+                cl |= {label[y] for y in Y.closure_map[x]}
+        cmap[q] = cl
+    return FiniteClosureSpace(qpts, cmap), label
+
+
+def test_quotient_against_rescanning_quotient():
+    rng = random.Random(431)
+    for _ in range(200):
+        Y = rand_space(rng, rng.randint(1, 7), p=rng.choice((0.2, 0.5)))
+        if rng.random() < 0.3:
+            Y = coproduct([Y, rand_space(rng, rng.randint(1, 3), prefix="q")])
+        pairs = [(rng.choice(Y.points), rng.choice(Y.points))
+                 for _ in range(rng.randint(0, 6))]
+        Q, label = _quotient(Y, pairs)
+        want, want_label = _rescan_quotient(Y, pairs)
+        assert Q == want and Q.points == want.points
+        assert label == want_label
+
+
+def test_point_names():
+    point = point_names([(0, 1), "a", 2], "f.json")
+    assert point("(0, 1)") == point([0, 1]) == (0, 1)
+    assert point("a") == "a" and point("2") == 2 and point(2) == 2
+    with pytest.raises(ParseError, match="f.json: unknown point 'b'"):
+        point("b")
+    with pytest.raises(ParseError, match="cannot be a JSON object"):
+        point({"a": 1})
+
+
+def test_shared_names_on_read_and_write():
+    # 1 and "1" are both named "1": reading refuses the file, and writing
+    # refuses a file whose closure keys would collide
+    text = '{"points": [1, "1"], "closure": {"1": ["1"]}}'
+    with pytest.raises(ParseError, match="points 1 and '1' share the name"):
+        space_from_json(text)
+    for pts in ([1, "1"], [(0, 1), "(0, 1)"]):
+        X = build_space(pts, {p: {p} for p in pts})
+        with pytest.raises(BadParameter, match="share the name"):
+            space_to_json(X)
+    with pytest.raises(ParseError, match="share the name"):
+        space_from_json('{"points": ["a", "a"], "closure": {"a": ["a"]}}')
+    deep = 0
+    for _ in range(5000):
+        deep = (deep,)
+    with pytest.raises(BadParameter):  # a point too deep to name
+        space_to_json(build_space([deep], {deep: {deep}}))
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_deep_points_are_parse_errors(depth):
+    point = "[" * depth + "0" + "]" * depth
+    for text in ('{"points": [%s], "closure": {}}' % point,
+                 '{"points": ["a"], "closure": {"a": ["a", %s]}}' % point):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            space_from_json(text)
+    nested = 0
+    for _ in range(depth):
+        nested = [nested]
+    with pytest.raises(ParseError, match="nested too deeply"):
+        point_names(["a"], "f.json")(nested)
 
 
 def _masks(R):
