@@ -1,8 +1,9 @@
 """Persistence diagrams, towers, bottleneck distance, interleavings.
 
-Two routes to the same diagram: reduce the boundary matrix of the filtered
-complex directly, or compute the homology of every stage and extract bars
-from the ranks of the structure maps.
+Two routes to the same diagram: reduce the filtered complex directly, or
+compute the homology of every stage and extract bars in one sweep of the
+structure maps along the grid, where the older of two merging classes
+lives on (the elder rule).
 """
 from fractions import Fraction
 
@@ -19,12 +20,12 @@ d = [[0, 1, 2, 1],
      [1, 2, 1, 0]]
 F = filtered_from_metric(metric_from_matrix(pts, d))
 
-# route one: boundary matrix reduction over F_2
+# route one: coboundary reduction of the filtered complex over F_2
 diagrams = persistence_complex(F, "vr", max_dim=1)
 print("degree 0 bars:", diagrams[0].sorted_pairs())
 print("degree 1 bars:", diagrams[1].sorted_pairs())
 
-# route two: tower of stage homologies and its rank function
+# route two: tower of stage homologies, swept by the elder rule
 T = persistence_tower(F, "complex-vr", 1, "f2")
 print("tower dims:", T.dims)
 print("tower diagram:", tower_to_diagram(T).sorted_pairs())

@@ -14,7 +14,7 @@ import sys
 from .complexes import cech as cech_complex
 from .complexes import complex_to_text
 from .complexes import vr as vr_complex
-from .errors import ClosureError, DimensionTooLarge, MissingPoint, ParseError
+from .errors import ClosureError, DimensionTooLarge, ParseError
 from .filtrations import (Decoration, filtered_from_metric,
                           filtered_from_sublevel,
                           filtered_from_weighted_digraph, metric_from_csv,
@@ -26,7 +26,7 @@ from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
                           gh_distance, load_diagram, num_out,
                           persistence_complex)
 from .spaces import (ContinuousMap, ProductKind, load_space, parse_interval,
-                     point_names, read_json)
+                     point_names, read_json, refused)
 
 # the exit code of each error type; any other ClosureError or OSError is 1
 _EXIT_CODES = ((ParseError, 2), (DimensionTooLarge, 3))
@@ -64,10 +64,7 @@ def _load_filtration(args):
         point = point_names(X.points, args.sublevel)
         with open(args.sublevel, "r", encoding="utf-8") as fh:
             f = {point(k): v for k, v in sublevel_from_csv(fh.read()).items()}
-        try:
-            return filtered_from_sublevel(X, f)
-        except MissingPoint as exc:
-            raise ParseError(f"{args.sublevel}: {exc}") from exc
+        return refused(args.sublevel, filtered_from_sublevel, X, f)
     raise ParseError("need --metric, --digraph, or --space with --sublevel")
 
 
@@ -185,7 +182,8 @@ def _load_map(path, X, Y) -> ContinuousMap:
         raw = read_json(fh.read(), f"map {path}")
     src = point_names(X.points, f"{path} (source)")
     tgt = point_names(Y.points, f"{path} (target)")
-    return ContinuousMap(X, Y, {src(k): tgt(v) for k, v in raw.items()})
+    return refused(f"map {path}", ContinuousMap, X, Y,
+                   {src(k): tgt(v) for k, v in raw.items()})
 
 
 def cmd_homotopic(args) -> int:

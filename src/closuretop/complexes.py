@@ -7,19 +7,20 @@ g_functor and tr1 agree on complexes and share one body.
 """
 from __future__ import annotations
 
-import json
-from itertools import combinations, count
+from itertools import combinations, count, takewhile
 
 from .errors import BadParameter, MissingPoint, ParseError, SourceTargetMismatch
 from .spaces import (FiniteClosureSpace, closure_masks, homomorphisms,
-                     is_symmetric, symmetrize)
+                     is_symmetric, point_token, refused, symmetrize,
+                     token_point)
 
 
-def _downward_closure(sets):
-    """Every nonempty subset of each of the given sets, as frozensets."""
+def _downward_closure(sets, size=None):
+    """Every nonempty subset of each of the given sets, of at most size
+    points unless size is None, as frozensets."""
     out = set()
     for s in sets:
-        for r in range(1, len(s) + 1):
+        for r in range(1, (len(s) if size is None else min(len(s), size)) + 1):
             out.update(map(frozenset, combinations(s, r)))
     return out
 
@@ -172,19 +173,33 @@ def cliques(later):
             return
 
 
+def _skeleton(X: FiniteClosureSpace, construction: str, size=None):
+    """The simplices of vr(X) or cech(X), construction "vr" or "cech", of
+    at most size points unless size is None, as a complex."""
+    if construction == "vr":
+        out, _ = closure_masks(symmetrize(X))
+        later = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(out)]
+        found = cliques(later)  # by increasing size
+        if size is not None:
+            found = takewhile(lambda c: len(c) <= size, found)
+        sets = ([X.points[i] for i in c] for c in found)
+    else:
+        sets = _downward_closure((X.closure_map[x] for x in X.points), size)
+    return SimplicialComplex(X.points, sets)
+
+
 def vr(X: FiniteClosureSpace) -> SimplicialComplex:
     """Vietoris-Rips complex: sets contained in the closure of each of their points.
 
     The condition is pairwise mutual closure membership, so this is the
     clique complex of the symmetrized relation, cosk1(symmetrize(X)).
     """
-    return cosk1(symmetrize(X))
+    return _skeleton(X, "vr")
 
 
 def cech(X: FiniteClosureSpace) -> SimplicialComplex:
     """Cech complex: sets contained in the closure of some point of X."""
-    return SimplicialComplex(
-        X.points, _downward_closure(X.closure_map[x] for x in X.points))
+    return _skeleton(X, "cech")
 
 
 def g_functor(K: SimplicialComplex) -> FiniteClosureSpace:
@@ -206,10 +221,7 @@ def cosk1(G: FiniteClosureSpace) -> SimplicialComplex:
     """Clique complex of a graph presented as a symmetric closure space."""
     if not is_symmetric(G):
         raise BadParameter("cosk1 expects a symmetric space")
-    out, _ = closure_masks(G)
-    later = [mask >> (i + 1) << (i + 1) for i, mask in enumerate(out)]
-    return SimplicialComplex(
-        G.points, {frozenset(G.points[i] for i in c) for c in cliques(later)})
+    return vr(G)
 
 
 def tr1(K: SimplicialComplex) -> FiniteClosureSpace:
@@ -269,44 +281,30 @@ def contiguous(f: SimplicialMap, g: SimplicialMap) -> bool:
 # file format: one simplex per line, points space-separated
 
 def complex_from_text(text: str, close_downward: bool = False) -> SimplicialComplex:
-    """Parse a complex file; either close the input downward or reject it."""
+    """Parse a complex file; either close the input downward or reject it.
+
+    Each token names a point by token_point: a JSON list is its tuple."""
     simplices = set()
-    points = []
-    seen = set()
+    by_token = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        names = line.split()
-        if len(set(names)) != len(names):
+        simplex = [by_token.setdefault(t, token_point(t)) for t in line.split()]
+        s = frozenset(simplex)
+        if len(s) != len(simplex):
             raise ParseError(f"line {lineno}: repeated point in a simplex")
-        for p in names:
-            if p not in seen:
-                seen.add(p)
-                points.append(p)
-        simplices.add(frozenset(names))
+        simplices.add(s)
     if not simplices:
         raise ParseError("empty complex file")
     if close_downward:
         # every point lies on some line, so its singleton is in the closure
         simplices = _downward_closure(simplices)
-    try:
-        return SimplicialComplex(points, simplices)
-    except BadParameter as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _token(x) -> str:
-    """A point as one whitespace-free token: a tuple as its compact JSON
-    list, as space files write it, anything else by str."""
-    token = json.dumps(x, separators=(",", ":")) if isinstance(x, tuple) else str(x)
-    if token.split() != [token] or token.startswith("#"):
-        raise BadParameter(f"point {x!r} has no one-token form for a complex file")
-    return token
+    return refused("complex", SimplicialComplex, by_token.values(), simplices)
 
 
 def complex_to_text(K: SimplicialComplex) -> str:
-    lines = [" ".join(_token(x) for x in sorted(s, key=repr))
+    lines = [" ".join(point_token(x) for x in sorted(s, key=repr))
              for s in K.sorted_simplices()]
     return "\n".join(lines) + "\n"
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import BadParameter, MissingPoint, NegativeEpsilon, ParseError
-from .spaces import FiniteClosureSpace
+from .spaces import FiniteClosureSpace, refused
 
 EMPTY_SPACE = FiniteClosureSpace([], {})
 
@@ -357,10 +357,7 @@ def metric_from_csv(text: str, pseudo: bool = False) -> FiniteMetric:
         labels = [str(i) for i in range(n)]
     if len(labels) != n:
         raise ParseError("header length does not match the matrix size")
-    try:
-        return metric_from_matrix(labels, matrix, pseudo=pseudo)
-    except BadParameter as exc:
-        raise ParseError(str(exc)) from exc
+    return refused("metric", metric_from_matrix, labels, matrix, pseudo)
 
 
 def digraph_from_text(text: str) -> WeightedDigraph:
@@ -385,10 +382,7 @@ def digraph_from_text(text: str) -> WeightedDigraph:
         weights[(a, b)] = w
     if not points:
         raise ParseError("empty digraph file")
-    try:
-        return WeightedDigraph(points, weights)
-    except BadParameter as exc:
-        raise ParseError(str(exc)) from exc
+    return refused("digraph", WeightedDigraph, points, weights)
 
 
 def sublevel_from_csv(text: str) -> dict:

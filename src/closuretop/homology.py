@@ -49,6 +49,11 @@ class Theory:
             raise BadParameter(f"unknown shape {self.shape!r}")
         if self.interval not in ("j1", "jplus"):
             raise BadParameter(f"unknown interval {self.interval!r}")
+        if self.shape == "cube" and self.normalized:
+            raise BadParameter("only simplex theories can be normalized")
+        if self.shape == "simplex" and self.product is not ProductKind.PRODUCT:
+            raise BadParameter("simplex theories take their cores under the "
+                               "product x")
 
     def default_cap(self) -> int:
         return DEFAULT_CUBE_CAP if self.shape == "cube" else DEFAULT_SIMPLEX_CAP

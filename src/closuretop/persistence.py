@@ -23,14 +23,14 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from ._linalg import FieldReducer
-from .complexes import cech, vr
+from .complexes import _skeleton
 from .errors import (BadParameter, CapExceeded, InfinityMismatch,
                      NotACorrespondence, ParseError, ShapeMismatch)
 from .filtrations import FilteredClosureSpace
 from .homology import (Theory, complex_chain_complex, homology_basis,
                        induced_map_between, parse_coefficients,
                        singular_chain_complex)
-from .spaces import homomorphisms, read_json
+from .spaces import homomorphisms, read_json, refused
 
 INF = math.inf
 DEFAULT_GH_CAP = 6
@@ -113,7 +113,7 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
         b = _num_in(item[0])
         d = None if item[1] == "inf" else _num_in(item[1])
         pairs.append((b, d))
-    return PersistenceDiagram(degree, tuple(pairs))
+    return refused("diagram", PersistenceDiagram, degree, tuple(pairs))
 
 
 def load_diagram(path) -> PersistenceDiagram:
@@ -347,7 +347,8 @@ def _stage_complex(stage, theory, top):
     if isinstance(theory, Theory):
         return singular_chain_complex(stage, theory, top)
     if theory in ("complex-vr", "complex-cech"):
-        K = vr(stage) if theory == "complex-vr" else cech(stage)
+        # degrees up to top read only the simplices of top + 1 points
+        K = _skeleton(stage, theory.removeprefix("complex-"), top + 1)
         return complex_chain_complex(K, top=top)
     raise BadParameter(f"unknown theory {theory!r}")
 

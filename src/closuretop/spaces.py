@@ -602,6 +602,16 @@ def read_json(text: str, what: str) -> dict:
     return data
 
 
+def refused(what, build, *args):
+    """build(*args), where build is the constructor that checks a file's
+    content; what it refuses is a ParseError whose message begins with
+    what, so every input file the library refuses is a parse error."""
+    try:
+        return build(*args)
+    except (BadParameter, MissingPoint, NotReflexive, NotContinuous) as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def _canon_point(p):
     """JSON has no tuples; nested lists in a file become tuples.  A list
     nested too deeply to convert is a ParseError, raised by the level that
@@ -637,6 +647,38 @@ def point_names(points, where):
     return point
 
 
+def token_point(token: str):
+    """The point a complex-file token names: a token that parses as a JSON
+    list is its tuple, by the nesting limit of _canon_point, and any other
+    token is the str it is, as point_names reads a name."""
+    if not token.startswith("["):
+        return token
+    try:
+        return _canon_point(json.loads(token))
+    except json.JSONDecodeError:
+        return token
+    except RecursionError as exc:
+        raise ParseError("a point is nested too deeply") from exc
+
+
+def point_token(x) -> str:
+    """x as one complex-file token that token_point reads back as a point
+    of x's name: a tuple as its compact JSON list, anything else by str.
+    BadParameter if there is none, as for a token holding whitespace,
+    starting with "#", or naming another point, such as the str "[1]"."""
+    try:
+        token = (json.dumps(x, separators=(",", ":")) if isinstance(x, tuple)
+                 else str(x))
+        ok = (token.split() == [token] and not token.startswith("#")
+              and str(token_point(token)) == str(x))
+    except (TypeError, ParseError, RecursionError):  # no JSON, or too deep
+        ok = False
+    if not ok:
+        raise BadParameter(f"point {reprlib.repr(x)} has no one-token form "
+                           "for a complex file")
+    return token
+
+
 def space_from_json(text: str) -> FiniteClosureSpace:
     """Parse a closure space from its JSON format; enforces reflexivity."""
     data = read_json(text, "space")
@@ -654,10 +696,7 @@ def space_from_json(text: str) -> FiniteClosureSpace:
         if not isinstance(vals, list):
             raise ParseError(f"closure of {key!r} must be a list")
         closure_of[point(key)] = [point(v) for v in vals]
-    try:
-        return FiniteClosureSpace(points, closure_of)
-    except (MissingPoint, NotReflexive, BadParameter) as exc:
-        raise ParseError(str(exc)) from exc
+    return refused("space", FiniteClosureSpace, points, closure_of)
 
 
 def space_to_json(X: FiniteClosureSpace) -> str:

@@ -254,6 +254,36 @@ def test_exit_codes(tmp_path, space_path, capsys):
     capsys.readouterr()
 
 
+AB_SPACE = '{"points": ["a", "b"], "closure": {"a": ["a", "b"], "b": ["b"]}}'
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"in.json": '{"points": ["a", "b"], "closure": {"a": ["b"], "b": ["b"]}}'},
+     ["homology", "in.json"]),
+    ({"in.csv": "0,1,5\n1,0,1\n5,1,0\n"}, ["persist", "--metric", "in.csv"]),
+    ({"in.txt": "a b 1\nb a -1\n"}, ["persist", "--digraph", "in.txt"]),
+    ({"in.csv": "a,0\n"},
+     ["persist", "--space", "ab.json", "--sublevel", "in.csv"]),
+    ({"in.json": '{"a": "a"}'},
+     ["homotopic", "ab.json", "ab.json", "in.json", "in.json"]),
+    ({"in.json": '{"a": "b", "b": "a"}'},
+     ["homotopic", "ab.json", "ab.json", "in.json", "in.json"]),
+    ({"in.json": '{"degree": 0, "pairs": [[2, 1]]}'},
+     ["bottleneck", "in.json", "in.json"]),
+], ids=["non-reflexive space", "metric without triangle inequality",
+        "negative digraph weight", "sublevel leaves out a point",
+        "map leaves out a point", "map not continuous",
+        "bar born after it dies"])
+def test_every_refused_input_file_exits_2(tmp_path, capsys, files, argv):
+    files = {"ab.json": AB_SPACE, **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_outputs_are_deterministic(square_path, capsys):
     runs = []
     for _ in range(2):

@@ -9,7 +9,8 @@ from closuretop import (BadParameter, ContinuousMap, Hypergraph, MissingPoint,
                         build_space, cech, complex_from_text, complex_to_text,
                         contiguous, cosk1, cosk_inf, dc, g_functor, gamma,
                         is_continuous, is_hypergraph_map, is_simplicial,
-                        load_complex, symmetrize, tr1, tr_inf, vr)
+                        ProductKind, coproduct, interval, j1, load_complex,
+                        product, symmetrize, tr1, tr_inf, vr)
 from closuretop.complexes import cliques
 from conftest import all_spaces, rand_space
 
@@ -299,10 +300,35 @@ def test_complex_text_reads_back_vr_and_cech_output():
     for K in (vr(X), cech(X)):
         text = complex_to_text(K)
         assert text == "[0,1]\n[2,3]\n[0,1] [2,3]\n"
-        back = complex_from_text(text)
-        assert len(back.points) == 2 and len(back.simplices) == 3
+        assert complex_from_text(text) == K
     # a point id holding whitespace, or read as a comment, has no token
     for bad in ("a b", "#a"):
         Y = build_space([bad, "c"], {bad: {bad, "c"}, "c": {"c"}})
         with pytest.raises(BadParameter):
             complex_to_text(cech(Y))
+
+
+def test_complex_files_read_tuple_points_back():
+    """A token that parses as a JSON list names its tuple; any other token
+    is its str, so a point whose token names another point is refused."""
+    J1 = interval(j1())
+    spaces = [product(J1, J1), product(J1, J1, ProductKind.INDUCTIVE),
+              coproduct([J1, build_space(["a", "[1"], {"a": {"a", "[1"},
+                                                        "[1": {"[1"}})]),
+              product(product(J1, J1), J1)]
+    for X in spaces:
+        for K in (vr(X), cech(X)):
+            assert complex_from_text(complex_to_text(K)) == K
+    assert complex_from_text("[0,[1,\"b\"]] c\n", True).points == (
+        (0, (1, "b")), "c")
+    # the str "[1]" would read back as the tuple (1,)
+    for bad in ("[1]", "[]"):
+        Y = build_space([bad, "c"], {bad: {bad, "c"}, "c": {"c"}})
+        with pytest.raises(BadParameter, match="one-token form"):
+            complex_to_text(vr(Y))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        complex_from_text("[" * 5000 + "]" * 5000 + "\n")
+    with pytest.raises(ParseError, match="cannot be a JSON object"):
+        complex_from_text('[{"a":1}]\n')
+    with pytest.raises(ParseError, match="duplicate point"):
+        complex_from_text("[0,1]\n[0,1.0]\n")

@@ -15,7 +15,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         CUBE_JPLUS_TIMES, SIMPLEX_J1, SIMPLEX_JPLUS,
-                        ContinuousMap, DegreeOutOfRange, DimensionTooLarge,
+                        BadParameter, ContinuousMap, DegreeOutOfRange,
+                        DimensionTooLarge,
                         NotContinuous, ParseError, ProductKind, Theory,
                         build_space, cech, complex_chain_complex,
                         complex_from_text, cubical_chain_complex, homology,
@@ -31,7 +32,7 @@ from closuretop.homology import (_cube_faces, _lower_boundary_data,
                                  chain_map_columns,
                                  cube_degenerate, cube_face, enumerate_cubes,
                                  enumerate_simplices, homology_groups,
-                                 induced_map_between)
+                                 induced_map_between, parse_theory)
 from closuretop.spaces import parse_interval
 from conftest import rand_space
 
@@ -439,6 +440,24 @@ def _brute_force_maps(S, X):
     """Point tuples of the continuous maps S -> X, in lexicographic order."""
     return [combo for combo in itertools.product(X.points, repeat=len(S.points))
             if is_continuous(dict(zip(S.points, combo)), S, X)]
+
+
+def test_theory_refuses_a_normalized_cube():
+    for interval_name in ("j1", "jplus"):
+        for kind in ProductKind:
+            with pytest.raises(BadParameter, match="normalized"):
+                Theory("cube", interval_name, kind, normalized=True)
+    assert parse_theory("j1-box") == Theory("cube", "j1", ProductKind.INDUCTIVE)
+
+
+def test_theory_refuses_a_simplex_core_under_the_box_product():
+    # a simplex theory's product only picks the homotopy core's product
+    for interval_name in ("j1", "jplus"):
+        for normalized in (False, True):
+            with pytest.raises(BadParameter, match="product x"):
+                Theory("simplex", interval_name, ProductKind.INDUCTIVE,
+                       normalized)
+    assert parse_theory("simplicial-jplus") == Theory("simplex", "jplus")
 
 
 def test_shape_enumerators_against_brute_force():
