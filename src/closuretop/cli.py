@@ -15,8 +15,7 @@ from .complexes import cech as cech_complex
 from .complexes import complex_to_text
 from .complexes import vr as vr_complex
 from .errors import ClosureError, DimensionTooLarge, ParseError
-from .filtrations import (Decoration, filtered_from_metric,
-                          filtered_from_sublevel,
+from .filtrations import (filtered_from_metric, filtered_from_sublevel,
                           filtered_from_weighted_digraph, metric_from_csv,
                           digraph_from_text, sublevel_from_csv)
 from .homology import (parse_coefficients, parse_theory,
@@ -50,8 +49,7 @@ def _read_filtration(args, path, metric):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if metric:
-        M = metric_from_csv(text, pseudo=args.pseudo)
-        return filtered_from_metric(M, Decoration(args.decoration))
+        return filtered_from_metric(metric_from_csv(text, pseudo=args.pseudo))
     return filtered_from_weighted_digraph(digraph_from_text(text))
 
 
@@ -206,15 +204,9 @@ def cmd_homotopic(args) -> int:
     return 0
 
 
-def cmd_vr(args) -> int:
-    X = load_space(args.space)
-    sys.stdout.write(complex_to_text(vr_complex(X)))
-    return 0
-
-
-def cmd_cech(args) -> int:
-    X = load_space(args.space)
-    sys.stdout.write(complex_to_text(cech_complex(X)))
+def cmd_complex(args) -> int:
+    build = vr_complex if args.command == "vr" else cech_complex
+    sys.stdout.write(complex_to_text(build(load_space(args.space))))
     return 0
 
 
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "simplicial-j1, simplicial-jplus")
     p.add_argument("--max-dim", type=_nonnegative, default=1)
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_nonnegative, default=None,
                    help="override the shape-dimension cap")
     _add_common(p)
     p.set_defaults(func=cmd_homology)
@@ -248,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", help="space JSON (with --sublevel)")
     p.add_argument("--sublevel", help="point,value CSV (with --space)")
     p.add_argument("--construction", default="vr", choices=["vr", "cech"])
-    p.add_argument("--decoration", default="closed",
-                   choices=[d.value for d in Decoration])
     p.add_argument("--pseudo", action="store_true",
                    help="allow zero distances between distinct points")
     p.add_argument("--max-dim", type=_nonnegative, default=1)
@@ -266,10 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gh", help="Gromov-Hausdorff distance of two filtrations")
     p.add_argument("--metric", nargs=2, help="two distance matrix CSVs")
     p.add_argument("--digraph", nargs=2, help="two weighted digraph files")
-    p.add_argument("--decoration", default="closed",
-                   choices=[d.value for d in Decoration])
     p.add_argument("--pseudo", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_GH_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=DEFAULT_GH_CAP)
     p.set_defaults(func=cmd_gh)
 
     p = sub.add_parser("homotopic", help="search for a homotopy between two maps")
@@ -281,16 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="j1, jplus, jminus, top:m, bot:m, plain:m, leq:m, bits:m:k")
     p.add_argument("--product", default="x", choices=["x", "box"])
     p.add_argument("--max-steps", type=int, default=8)
-    p.add_argument("--cap", type=int, default=5)
+    p.add_argument("--cap", type=_nonnegative, default=5)
     p.set_defaults(func=cmd_homotopic)
 
-    p = sub.add_parser("vr", help="Vietoris-Rips complex of a space file")
-    p.add_argument("space")
-    p.set_defaults(func=cmd_vr)
-
-    p = sub.add_parser("cech", help="Cech complex of a space file")
-    p.add_argument("space")
-    p.set_defaults(func=cmd_cech)
+    for name, title in (("vr", "Vietoris-Rips"), ("cech", "Cech")):
+        p = sub.add_parser(name, help=f"{title} complex of a space file")
+        p.add_argument("space")
+        p.set_defaults(func=cmd_complex)
     return parser
 
 

@@ -99,11 +99,7 @@ def metric_from_matrix(labels, matrix, pseudo: bool = False) -> FiniteMetric:
 
 
 class Decoration(Enum):
-    """Ball convention for closures induced by a metric.
-
-    A MINUS filtration reads the closed-ball table: a strict ball and a
-    closed one differ only at grid values, where no right-continuous
-    stage function can hold the strict one."""
+    """Ball convention for the closure a metric induces at one scale."""
 
     MINUS = "minus"    # open balls (with the center always included)
     CLOSED = "closed"  # closed balls
@@ -243,16 +239,14 @@ def _grid_index(values):
     return grid, {_ratio(t): i for i, t in enumerate(grid)}
 
 
-def filtered_from_metric(M: FiniteMetric, dec: Decoration = Decoration.CLOSED) -> FilteredClosureSpace:
-    """Filtration over the grid of pairwise distances (with 0 prepended).
+def filtered_from_metric(M: FiniteMetric) -> FilteredClosureSpace:
+    """Filtration of closed balls over the grid of pairwise distances
+    (with 0 prepended).
 
     One sort of the distances gives the grid, and y enters the closure
-    of x at the index of d(x, y), under every decoration.  The strict
-    ball of MINUS holds y for every t > d(x, y), and a right-continuous
-    stage function can hold it only from d(x, y) on: its stages are the
-    strict balls off the grid values and the closed ones at them, so
-    its diagrams and GH distances are those of CLOSED.  Every point is
-    born at 0.
+    of x at the index of d(x, y).  Every point is born at 0.  There is
+    no table of strict balls: they differ from closed ones only at grid
+    values, and a right-continuous stage function cannot hold them there.
     """
     grid, index = _grid_index(M.dist.values())
     births = {x: {x: 0} for x in M.points}

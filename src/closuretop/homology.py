@@ -439,7 +439,6 @@ class IntegerHomologyBasis:
     """
 
     def __init__(self, C: ChainComplex, n: int, reduced: bool = False):
-        dim_n = C.dim(n)
         kernel, self._lattice_coords = integer_kernel_basis(
             _lower_boundary_data(C, n, reduced))
         relations = list(map(self._lattice_coords, C.boundary_columns(n + 1)))
@@ -455,16 +454,17 @@ class IntegerHomologyBasis:
         self.dimension = len(self._kept)
         self.generators = []
         for i in self._kept:
-            vec = [0] * dim_n
+            vec = {}
             for t, r in enumerate(self._rows):
-                if Uinv[t][i]:
+                if u := Uinv[t][i]:
                     for s, c in kernel[r].items():
-                        vec[s] += Uinv[t][i] * c
-            self.generators.append(vec)
+                        vec[s] = vec.get(s, 0) + u * c
+            self.generators.append({s: c for s, c in vec.items() if c})
 
     def coords(self, cycle):
-        """Coordinates of a cycle: torsion entries reduced modulo the order."""
-        a = self._lattice_coords(dict(enumerate(cycle)))
+        """Coordinates of a sparse cycle {basis index: coefficient}:
+        torsion entries reduced modulo the order."""
+        a = self._lattice_coords(cycle)
         if a is None:
             raise ValueError("not a cycle in the tracked lattice")
         for r, p, col in self._pivots:  # row r by the rows after it
@@ -493,7 +493,6 @@ class FieldHomologyBasis:
 
     def __init__(self, C: ChainComplex, n: int, field, reduced: bool = False):
         self.field = F = field
-        dim_n = C.dim(n)
         cols_low = _lower_boundary_data(C, n, reduced)
         kernel = FieldReducer(F)
         cycles = []
@@ -506,14 +505,13 @@ class FieldHomologyBasis:
         for z in cycles:
             rest, _ = self._reducer.add(z, {len(self.generators): 1})
             if rest:
-                self.generators.append([z.get(i, F.zero)
-                                        for i in range(dim_n)])
+                self.generators.append(z)
         self.dimension = len(self.generators)
         self.orders = [0] * self.dimension
 
     def coords(self, cycle):
         F = self.field
-        rest, tag = self._reducer.reduce(dict(enumerate(cycle)), {})
+        rest, tag = self._reducer.reduce(cycle, {})
         if rest:
             raise ValueError("vector is outside the tracked span")
         return [F.of(-tag[g]) if g in tag else F.zero
@@ -571,15 +569,12 @@ def induced_map_between(C_src: ChainComplex, C_tgt: ChainComplex, mapping,
     src = src_basis or homology_basis(C_src, n, coefficients, reduced=reduced)
     tgt = tgt_basis or homology_basis(C_tgt, n, coefficients, reduced=reduced)
     cols = chain_map_columns(C_src, C_tgt, n, mapping)
-    dim_tgt = C_tgt.dim(n)
     matrix_cols = []
     for gen in src.generators:
-        image = [0] * dim_tgt
-        for j, coeff in enumerate(gen):
-            if not coeff:
-                continue
+        image = {}
+        for j, coeff in gen.items():
             for r, c in cols[j].items():
-                image[r] += coeff * c
+                image[r] = image.get(r, 0) + coeff * c
         matrix_cols.append(tgt.coords(image))
     matrix = [[matrix_cols[j][i] for j in range(len(matrix_cols))]
               for i in range(tgt.dimension)]

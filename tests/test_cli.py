@@ -210,12 +210,16 @@ def test_bad_budgets_are_reported(space_path, square_path, tmp_path, capsys):
     assert main(["homotopic", space_path, space_path, str(f), str(f),
                  "--max-steps", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: max_steps")
-    for argv in (["homology", space_path, "--max-dim", "-1"],
-                 ["persist", "--metric", square_path, "--max-dim", "-1"]):
+    for flag, argv in (
+            ("--max-dim", ["homology", space_path]),
+            ("--max-dim", ["persist", "--metric", square_path]),
+            ("--cap", ["homology", space_path]),
+            ("--cap", ["gh", "--metric", square_path, square_path]),
+            ("--cap", ["homotopic", space_path, space_path, str(f), str(f)])):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + [flag, "-1"])
         assert exc.value.code == 2
-        assert "--max-dim: must be nonnegative" in capsys.readouterr().err
+        assert f"{flag}: must be nonnegative" in capsys.readouterr().err
 
 
 def test_vr_and_cech_commands(space_path, capsys):
@@ -298,7 +302,7 @@ def test_reused_parser_gives_fresh_results(square_path, space_path,
              ["homology", space_path, "--coeffs", "f2", "--json"],
              ["persist", "--construction", "alpha"],
              ["persist", "--metric", square_path, "--json"],
-             ["persist", "--metric", square_path, "--decoration", "minus"]]
+             ["persist", "--metric", square_path, "--coeffs", "q"]]
 
     def run(argv):
         try:

@@ -76,17 +76,16 @@ def test_metric_closure_decorations():
 @given(st.integers(0, 10 ** 6), st.integers(2, 5))
 def test_metric_filtration_monotone_and_symmetric(seed, n):
     M = rand_metric(random.Random(seed), n)
-    for dec in Decoration:
-        F = filtered_from_metric(M, dec)
-        assert F.grid[0] == 0
-        for A, B in zip(F.stages, F.stages[1:]):
-            for x in A.points:
-                assert A.closure_map[x] <= B.closure_map[x]
-        final = F.final_stage()
-        assert final.point_set() == frozenset(M.points)
-        for x in final.points:  # metric closures are symmetric
-            for y in final.closure_map[x]:
-                assert x in final.closure_map[y]
+    F = filtered_from_metric(M)
+    assert F.grid[0] == 0
+    for A, B in zip(F.stages, F.stages[1:]):
+        for x in A.points:
+            assert A.closure_map[x] <= B.closure_map[x]
+    final = F.final_stage()
+    assert final.point_set() == frozenset(M.points)
+    for x in final.points:  # metric closures are symmetric
+        for y in final.closure_map[x]:
+            assert x in final.closure_map[y]
 
 
 @settings(max_examples=30, deadline=None)
@@ -98,7 +97,7 @@ def test_metric_as_digraph_cross_oracle(seed, n):
     weights = {(x, y): M.dist[(x, y)] for x in M.points for y in M.points
                if x != y}
     G = WeightedDigraph(M.points, weights)
-    F1 = filtered_from_metric(M, Decoration.CLOSED)
+    F1 = filtered_from_metric(M)
     F2 = filtered_from_weighted_digraph(G)
     assert F1.grid == F2.grid
     assert list(F1.stages) == list(F2.stages)
@@ -218,10 +217,9 @@ def test_grid_keeps_the_first_of_equal_values_with_its_type():
             ("b", "c"): Fraction(1, 2), ("c", "b"): 0.5}
     M = FiniteMetric(pts, dist)
     want = sorted(set(M.dist.values()) | {Fraction(0)})
-    for dec in Decoration:
-        F = filtered_from_metric(M, dec)
-        assert [(type(t), t) for t in F.grid] == [(type(t), t) for t in want]
-    assert filtered_from_metric(M).births["c"] == {"c": 0, "a": 3, "b": 1}
+    F = filtered_from_metric(M)
+    assert [(type(t), t) for t in F.grid] == [(type(t), t) for t in want]
+    assert F.births["c"] == {"c": 0, "a": 3, "b": 1}
     G = WeightedDigraph(pts, {("a", "b"): 2.0, ("b", "a"): 2,
                               ("b", "c"): float("inf")})
     F = filtered_from_weighted_digraph(G)
@@ -269,11 +267,11 @@ def _assert_table_matches_stages(F, grid, stages):
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(),
        st.sampled_from(list(Decoration)))
 def test_metric_table_matches_metric_closures(seed, n, pseudo, dec):
-    """Every decoration reads the closed-ball table; off the grid values,
-    where strict and closed balls agree, the stages are dec's closures."""
+    """The table holds the closed balls; off the grid values, where strict
+    and closed balls agree, its stages are every decoration's closures."""
     rng = random.Random(seed)
     M = rand_metric(rng, n, coord_range=rng.choice([2, 8]), pseudo=pseudo)
-    F = filtered_from_metric(M, dec)
+    F = filtered_from_metric(M)
     grid = sorted(set(M.dist.values()) | {0})
     _assert_table_matches_stages(F, grid, [metric_closure(M, t)
                                            for t in grid])
@@ -323,10 +321,7 @@ def test_stages_are_built_on_demand_and_cached():
     assert F.final_stage() is F.stages[-1]
     with pytest.raises(IndexError):
         F.stage(3)
-    minus = filtered_from_metric(M, Decoration.MINUS)
-    assert minus.births == F.births  # strict balls read the closed table
     # the stage-list constructor keeps the given stage objects
     stages = [metric_closure(M, t) for t in F.grid]
     G = FilteredClosureSpace(F.grid, stages)
     assert G == F and all(G.stage(i) is s for i, s in enumerate(stages))
-    assert G == filtered_from_metric(M, Decoration.MINUS)

@@ -199,7 +199,7 @@ def test_persistence_builds_no_stage(monkeypatch):
     M = rand_metric(rng, 6)
     X = rand_space(rng, 5)
     monkeypatch.setattr(filtrations, "FiniteClosureSpace", counting)
-    filtered = [filtered_from_metric(M, dec) for dec in Decoration]
+    filtered = [filtered_from_metric(M)]
     filtered.append(filtered_from_sublevel(
         X, {x: Fraction(rng.randint(0, 3)) for x in X.points}))
     filtered.append(filtered_from_weighted_digraph(WeightedDigraph(
@@ -816,8 +816,7 @@ def _gh_branch_and_bound(FX, FY):
 
 
 def test_gh_against_branch_and_bound():
-    """Equal value and type on metrics under every decoration, pseudo ones
-    included, weighted digraphs and sublevel filtrations.  Most digraph
+    """Equal value and type on metrics, pseudo ones included, weighted digraphs and sublevel filtrations.  Most digraph
     and sublevel pairs share a relation, so that their distance is
     finite."""
     rng = random.Random(163)
@@ -825,8 +824,8 @@ def test_gh_against_branch_and_bound():
     def draw(kind, n):
         if kind == "metric":
             return [filtered_from_metric(
-                rand_metric(rng, n, pseudo=rng.random() < 0.3),
-                rng.choice(list(Decoration))) for _ in range(2)]
+                rand_metric(rng, n, pseudo=rng.random() < 0.3))
+                for _ in range(2)]
         if kind == "sublevel":
             X = rand_space(rng, n)
             return [filtered_from_sublevel(
@@ -849,34 +848,20 @@ def test_gh_against_branch_and_bound():
 
 
 def test_strict_balls_give_the_closed_ball_results():
-    """A MINUS filtration holds the strict balls off the grid values and
-    gives the diagrams and GH distances of CLOSED."""
+    """A metric filtration holds the strict balls off the grid values, so
+    strict balls give the closed-ball diagrams and GH distances."""
     M = metric_from_matrix(["a", "b", "c"],
                            [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
-    F = filtered_from_metric(M, Decoration.MINUS)
+    F = filtered_from_metric(M)
     t = Fraction(3, 2)
     assert F.stage_at(t) == metric_closure(M, t, Decoration.MINUS)
     assert F.stage_at(t).closure_map["a"] == frozenset({"a", "b"})
     D0 = persistence_complex(F, "vr", 0)[0]
     assert D0.sorted_pairs() == [(0, 1), (0, 2), (0, None)]
     two = [filtered_from_metric(metric_from_matrix(["x", "y"],
-                                                   [[0, d], [d, 0]]),
-                                Decoration.MINUS) for d in (2, 5)]
+                                                   [[0, d], [d, 0]]))
+           for d in (2, 5)]
     assert gh_distance(*two) == Fraction(3, 2)
-    rng = random.Random(181)
-    for _ in range(30):
-        Ms = [rand_metric(rng, rng.randint(1, 5), pseudo=rng.random() < 0.3)
-              for _ in range(2)]
-        closed = [filtered_from_metric(M) for M in Ms]
-        minus = [filtered_from_metric(M, Decoration.MINUS) for M in Ms]
-        for c, m in zip(closed, minus):
-            for construction in ("vr", "cech"):
-                for max_dim in (0, 1):
-                    got, want = (persistence_complex(F, construction, max_dim)
-                                 for F in (m, c))
-                    assert {d: D.sorted_pairs() for d, D in got.items()} == \
-                        {d: D.sorted_pairs() for d, D in want.items()}
-        assert gh_distance(*minus) == gh_distance(*closed)
 
 
 def test_gh_cap():
