@@ -39,16 +39,14 @@ from .homotopy import (HomotopyQuery, HomotopyWitness, OneStepWitness,
 from .homology import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                        CUBE_JPLUS_TIMES, SIMPLEX_J1, SIMPLEX_JPLUS,
                        ChainComplex, HomologyGroup, Theory,
-                       complex_chain_complex, cubical_chain_complex,
-                       enumerate_cubes, enumerate_simplices, homology,
+                       complex_chain_complex, enumerate_shapes, homology,
                        homology_basis, induced_map, induced_map_between,
                        parse_coefficients, parse_theory,
-                       simplicial_chain_complex, singular_chain_complex,
-                       singular_homology, singular_homology_groups)
+                       singular_chain_complex, singular_homology,
+                       singular_homology_groups)
 from .persistence import (PersistenceDiagram, Tower, bottleneck,
                           check_correspondence, diagram_from_json,
-                          diagram_to_json, distortion, filtered_simplices,
-                          gh_distance,
+                          diagram_to_json, distortion, gh_distance,
                           inclusion_interleaving_maps, load_diagram,
                           persistence_complex, persistence_tower,
                           tower_to_diagram, verify_interleaving)

@@ -54,32 +54,34 @@ def _read_filtration(args, path, metric):
 
 
 def _load_filtration(args):
-    if args.metric or args.digraph:
+    if (args.space is None) != (args.sublevel is None):
+        raise ParseError("--space and --sublevel go together")
+    if args.space is None:
         return _read_filtration(args, args.metric or args.digraph,
-                                bool(args.metric))
-    if args.space and args.sublevel:
-        X = load_space(args.space)
-        point = point_names(X.points, args.sublevel)
-        with open(args.sublevel, "r", encoding="utf-8") as fh:
-            f = {point(k): v for k, v in sublevel_from_csv(fh.read()).items()}
-        return refused(args.sublevel, filtered_from_sublevel, X, f)
-    raise ParseError("need --metric, --digraph, or --space with --sublevel")
+                                args.metric is not None)
+    X = load_space(args.space)
+    point = point_names(X.points, args.sublevel)
+    with open(args.sublevel, "r", encoding="utf-8") as fh:
+        f = {point(k): v for k, v in sublevel_from_csv(fh.read()).items()}
+    return refused(args.sublevel, filtered_from_sublevel, X, f)
 
 
 def _plot_svg(diagrams, path):
     """Static persistence-diagram scatter: axes, diagonal, multiplicities."""
-    finite = [v for D in diagrams.values() for bd in D.pairs
+    finite = [float(v) for D in diagrams.values() for bd in D.pairs
               for v in bd if v is not None]
-    hi = float(max(finite)) if finite else 1.0
-    hi = hi * 1.1 if hi > 0 else 1.0
+    # the axes run from min(0, least value) to the largest, with a margin
+    lo = min(finite + [0.0])
+    span = max(finite, default=0.0) - lo
+    span = span * 1.1 if span > 0 else 1.0
     size, pad = 400, 50
-    scale = (size - 2 * pad) / hi
+    scale = (size - 2 * pad) / span
 
     def sx(v):
-        return pad + float(v) * scale
+        return pad + (float(v) - lo) * scale
 
     def sy(v):
-        return size - pad - float(v) * scale
+        return size - pad - (float(v) - lo) * scale
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
@@ -167,9 +169,7 @@ def cmd_bottleneck(args) -> int:
 
 
 def cmd_gh(args) -> int:
-    if not (args.metric or args.digraph):
-        raise ParseError("gh needs --metric or --digraph (two files)")
-    FX, FY = (_read_filtration(args, path, bool(args.metric))
+    FX, FY = (_read_filtration(args, path, args.metric is not None)
               for path in args.metric or args.digraph)
     print(_fmt(gh_distance(FX, FY, cap=args.cap)))
     return 0
@@ -235,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("persist", help="persistence diagrams of a filtration")
-    p.add_argument("--metric", help="distance matrix CSV")
-    p.add_argument("--digraph", help="weighted digraph text file")
-    p.add_argument("--space", help="space JSON (with --sublevel)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--metric", help="distance matrix CSV")
+    source.add_argument("--digraph", help="weighted digraph text file")
+    source.add_argument("--space", help="space JSON (with --sublevel)")
     p.add_argument("--sublevel", help="point,value CSV (with --space)")
     p.add_argument("--construction", default="vr", choices=["vr", "cech"])
     p.add_argument("--pseudo", action="store_true",
@@ -254,8 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bottleneck)
 
     p = sub.add_parser("gh", help="Gromov-Hausdorff distance of two filtrations")
-    p.add_argument("--metric", nargs=2, help="two distance matrix CSVs")
-    p.add_argument("--digraph", nargs=2, help="two weighted digraph files")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--metric", nargs=2, help="two distance matrix CSVs")
+    source.add_argument("--digraph", nargs=2,
+                        help="two weighted digraph files")
     p.add_argument("--pseudo", action="store_true")
     p.add_argument("--cap", type=_nonnegative, default=DEFAULT_GH_CAP)
     p.set_defaults(func=cmd_gh)
@@ -268,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="j1",
                    help="j1, jplus, jminus, top:m, bot:m, plain:m, leq:m, bits:m:k")
     p.add_argument("--product", default="x", choices=["x", "box"])
-    p.add_argument("--max-steps", type=int, default=8)
+    p.add_argument("--max-steps", type=_nonnegative, default=8)
     p.add_argument("--cap", type=_nonnegative, default=5)
     p.set_defaults(func=cmd_homotopic)
 

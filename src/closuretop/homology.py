@@ -170,26 +170,17 @@ def _shape_source(theory: Theory, n: int) -> FiniteClosureSpace:
     return interval(j_top(n) if theory.interval == "j1" else j_leq(n))
 
 
-def _maps_into(X: FiniteClosureSpace, S: FiniteClosureSpace):
-    """Continuous maps S -> X, as tuples of points of X."""
+def enumerate_shapes(X: FiniteClosureSpace, theory: Theory, n: int):
+    """The theory's n-shapes in X: the continuous maps out of
+    _shape_source(theory, n) as tuples of points of X (a cube's in table
+    order), in lexicographic order of the points' indices.  Normalized
+    theories drop tuples with two equal consecutive entries."""
     pts = X.points
-    return [tuple(pts[i] for i in h) for h in enumerate_continuous_maps(S, X)]
-
-
-def enumerate_cubes(X: FiniteClosureSpace, theory: Theory, n: int):
-    """All continuous n-cube tables in lexicographic point order."""
-    return _maps_into(X, _shape_source(theory, n))
-
-
-def enumerate_simplices(X: FiniteClosureSpace, theory: Theory, n: int):
-    """All continuous (n+1)-tuples in lexicographic point order.
-
-    Normalized theories drop tuples with two equal consecutive entries.
-    """
-    tuples = _maps_into(X, _shape_source(theory, n))
+    shapes = [tuple(pts[i] for i in h)
+              for h in enumerate_continuous_maps(_shape_source(theory, n), X)]
     if theory.normalized:
-        tuples = [t for t in tuples if _normalized_image(t, n)]
-    return tuples
+        shapes = [t for t in shapes if _normalized_image(t, n)]
+    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -287,42 +278,26 @@ def _ordered_image(vertices, n):
     return tuple(vertices[i] for i in order), (-1) ** inversions
 
 
-def _check_singular(theory: Theory, shape: str, top: int, cap):
-    if theory.shape != shape:
-        raise BadParameter(f"a {shape} chain complex needs a {shape} theory")
-    cap = theory.default_cap() if cap is None else cap
-    if top > cap:
-        raise DimensionTooLarge(f"{shape} dimension {top} exceeds the cap {cap}")
-
-
-def cubical_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
-                          cap: int = None) -> ChainComplex:
-    """Chain complex of nondegenerate singular cubes up to dimension top."""
-    _check_singular(theory, "cube", top, cap)
-    return _assemble(lambda n: enumerate_cubes(X, theory, n), _cube_faces,
-                     top, _cube_image)
-
-
-def simplicial_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
-                             cap: int = None) -> ChainComplex:
-    """Chain complex of singular simplices up to dimension top.
-
-    Unnormalized by default: degenerate tuples are kept as basis
-    elements, so the point space has rank one in every degree.
-    Normalized theories leave them out, so their faces and images count
-    as zero.
-    """
-    _check_singular(theory, "simplex", top, cap)
-    return _assemble(lambda n: enumerate_simplices(X, theory, n),
-                     _simplex_faces, top,
-                     _normalized_image if theory.normalized else _tuple_image)
-
-
 def singular_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
                            cap: int = None) -> ChainComplex:
+    """Chain complex of the theory's singular shapes up to dimension top.
+
+    Cubes are nondegenerate tables.  Simplices are unnormalized by
+    default: degenerate tuples are kept as basis elements, so the point
+    space has rank one in every degree.  Normalized theories leave them
+    out, so their faces and images count as zero.
+    """
+    cap = theory.default_cap() if cap is None else cap
+    if top > cap:
+        raise DimensionTooLarge(
+            f"{theory.shape} dimension {top} exceeds the cap {cap}")
     if theory.shape == "cube":
-        return cubical_chain_complex(X, theory, top, cap=cap)
-    return simplicial_chain_complex(X, theory, top, cap=cap)
+        faces, image = _cube_faces, _cube_image
+    else:
+        faces = _simplex_faces
+        image = _normalized_image if theory.normalized else _tuple_image
+    return _assemble(lambda n: enumerate_shapes(X, theory, n), faces, top,
+                     image)
 
 
 def complex_chain_complex(K, top: int = None) -> ChainComplex:

@@ -193,26 +193,6 @@ def _levels(vertex, grow, never, size):
     return levels
 
 
-def filtered_simplices(F: FilteredClosureSpace, construction: str = "vr",
-                       max_dim: int = 1):
-    """Simplices of the final-stage complex with first-appearance values.
-
-    Returns a list of (birth, simplex-as-sorted-tuple) restricted to
-    simplices of at most max_dim + 2 vertices, the rows and columns of
-    the reduction in degrees up to max_dim.  The list is sorted by
-    birth, then size, then the points' reprs.  No stage complex is
-    built: each simplex is grown from its first vertices by the same
-    birth rule that persistence_complex reads its cofaces with.
-    """
-    points, vertex, grow = _birth_rule(F, construction)
-    if max_dim < 0:
-        raise BadParameter("max_dim must be nonnegative")
-    levels = _levels(vertex, grow, len(F.grid), max_dim + 2)
-    ordered = sorted((bcs for level in levels for bcs in level),
-                     key=lambda bcs: (bcs[0], len(bcs[2]), bcs[1]))
-    return [(F.grid[b], tuple(points[i] for i in s)) for b, _, s in ordered]
-
-
 def _coboundary(s, c, born, never, n):
     """The signed coboundary of the simplex s of code c, given the births
     of its cofaces by added vertex.  The coface t with the new vertex at
@@ -353,6 +333,18 @@ def _stage_complex(stage, theory, top):
     raise BadParameter(f"unknown theory {theory!r}")
 
 
+def _inclusion_matrix(C_src, B_src, C_tgt, B_tgt, degree):
+    """The matrix, in the bases B_src and B_tgt, of the map on homology
+    in the given degree that C_src's points (its 0-cells) induce by
+    inclusion into C_tgt; ShapeMismatch if a point is missing there."""
+    mapping = {b[0]: b[0] for b in C_src.basis.get(0, [])}
+    for x in mapping:
+        if (x,) not in C_tgt.index.get(0, {}):
+            raise ShapeMismatch(f"point {x!r} is not included downstream")
+    return induced_map_between(C_src, C_tgt, mapping, degree,
+                               src_basis=B_src, tgt_basis=B_tgt).matrix
+
+
 def persistence_tower(F: FilteredClosureSpace, theory, degree: int,
                       coefficients: str = "f2", grid=None) -> Tower:
     """Tower of degree-n homology along the filtration grid.
@@ -362,16 +354,12 @@ def persistence_tower(F: FilteredClosureSpace, theory, degree: int,
     """
     field = _field_from_spec(coefficients)
     grid = tuple(F.grid if grid is None else grid)
-    stages = [F.stage_at(t) for t in grid]
-    complexes = [_stage_complex(s, theory, degree + 1) for s in stages]
+    complexes = [_stage_complex(F.stage_at(t), theory, degree + 1)
+                 for t in grid]
     bases = [homology_basis(C, degree, coefficients) for C in complexes]
-    maps = []
-    for i in range(len(grid) - 1):
-        mapping = {x: x for x in stages[i].points}
-        im = induced_map_between(
-            complexes[i], complexes[i + 1], mapping, degree,
-            src_basis=bases[i], tgt_basis=bases[i + 1])
-        maps.append(im.matrix)
+    maps = [_inclusion_matrix(complexes[i], bases[i], complexes[i + 1],
+                              bases[i + 1], degree)
+            for i in range(len(grid) - 1)]
     return Tower(grid, [b.dimension for b in bases], maps, field, degree,
                  complexes=complexes, bases=bases)
 
@@ -686,13 +674,6 @@ def inclusion_interleaving_maps(A: Tower, B: Tower, eps):
         j = B.index_at(t + eps)
         if j is None:
             raise ShapeMismatch("eps shifts below the grid")
-        C_src = A._complexes[i]
-        C_tgt = B._complexes[j]
-        mapping = {b[0]: b[0] for b in C_src.basis.get(0, [])}
-        for x in mapping:
-            if (x,) not in C_tgt.index.get(0, {}):
-                raise ShapeMismatch(f"point {x!r} is not included downstream")
-        im = induced_map_between(C_src, C_tgt, mapping, A.degree,
-                                 src_basis=A._bases[i], tgt_basis=B._bases[j])
-        out.append(im.matrix)
+        out.append(_inclusion_matrix(A._complexes[i], A._bases[i],
+                                     B._complexes[j], B._bases[j], A.degree))
     return out

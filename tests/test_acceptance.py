@@ -13,7 +13,7 @@ import numpy as np
 
 from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         CUBE_JPLUS_TIMES, SIMPLEX_J1, ContinuousMap,
-                        ProductKind, Theory, bottleneck, cech, cubical_chain_complex,
+                        ProductKind, Theory, bottleneck, cech,
                         filtered_from_metric, filtered_from_sublevel,
                         gh_distance, homology, inclusion_interleaving_maps,
                         interval, is_continuous, is_hypergraph_map,
@@ -53,7 +53,7 @@ def criterion(num, label, limit):
 @criterion(1, "directed square has one directed loop", 1)
 def test_c01_directed_square():
     P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
-    C = cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2)
+    C = singular_chain_complex(P, CUBE_JPLUS_TIMES, 2)
     assert all(col == {} for col in C.boundary_columns(2))
     g = homology(C, 1)
     assert g.rank == 1 and g.torsion == ()
@@ -62,7 +62,7 @@ def test_c01_directed_square():
 @criterion(2, "undirected square kernel and image ranks", 5)
 def test_c02_undirected_square():
     P = product(interval(j1()), interval(j1()), ProductKind.INDUCTIVE)
-    C = cubical_chain_complex(P, CUBE_J1_TIMES, 2)
+    C = singular_chain_complex(P, CUBE_J1_TIMES, 2)
     r1, _ = rank_and_invariants(C.boundary_columns(1))
     r2, _ = rank_and_invariants(C.boundary_columns(2))
     assert C.dim(1) - r1 == 5

@@ -2,6 +2,7 @@
 import importlib
 import json
 import random
+import re
 
 import pytest
 
@@ -144,6 +145,52 @@ def test_persist_digraph_route(tmp_path, capsys):
     assert d0["pairs"] == [[0.0, 2.0], [0.0, "inf"]]
 
 
+def test_persist_plot_keeps_negative_values_on_the_canvas(tmp_path, capsys):
+    X = build_space(["a", "b"], {"a": {"a", "b"}, "b": {"a", "b"}})
+    space = tmp_path / "s.json"
+    space.write_text(space_to_json(X))
+    sub = tmp_path / "f.csv"
+    svg = tmp_path / "d.svg"
+    for values in ("a,-3\nb,-1\n", "a,-3\nb,2\n"):
+        sub.write_text(values)
+        assert main(["persist", "--space", str(space), "--sublevel", str(sub),
+                     "--plot", str(svg)]) == 0
+        circles = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"',
+                             svg.read_text())
+        assert circles
+        for cx, cy in circles:
+            assert 0 <= float(cx) <= 400 and 0 <= float(cy) <= 400, values
+    capsys.readouterr()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        return exc.code
+
+
+def test_conflicting_input_sources_exit_2(square_path, space_path, tmp_path,
+                                          capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("a b 1\nb a 2\n")
+    sub = tmp_path / "f.csv"
+    sub.write_text("a,0\nb,1\nc,2\n")
+    m, s = square_path, space_path
+    for argv in (["persist", "--metric", m, "--digraph", str(g)],
+                 ["persist", "--metric", m, "--space", s,
+                  "--sublevel", str(sub)],
+                 ["persist", "--digraph", str(g), "--space", s],
+                 ["persist", "--metric", m, "--sublevel", str(sub)],
+                 ["persist", "--sublevel", str(sub)],
+                 ["persist", "--space", s],
+                 ["gh", "--metric", m, m, "--digraph", str(g), str(g)],
+                 ["gh"]):
+        assert _exit_code(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err, argv
+
+
 def test_bottleneck_and_gh(square_path, tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -215,7 +262,9 @@ def test_bad_budgets_are_reported(space_path, square_path, tmp_path, capsys):
             ("--max-dim", ["persist", "--metric", square_path]),
             ("--cap", ["homology", space_path]),
             ("--cap", ["gh", "--metric", square_path, square_path]),
-            ("--cap", ["homotopic", space_path, space_path, str(f), str(f)])):
+            ("--cap", ["homotopic", space_path, space_path, str(f), str(f)]),
+            ("--max-steps",
+             ["homotopic", space_path, space_path, str(f), str(f)])):
         with pytest.raises(SystemExit) as exc:
             main(argv + [flag, "-1"])
         assert exc.value.code == 2
@@ -235,7 +284,9 @@ def test_exit_codes(tmp_path, space_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,1\n")
     assert main(["persist", "--metric", str(bad)]) == 2  # parse failure
-    assert main(["persist"]) == 2  # no input source
+    with pytest.raises(SystemExit) as exc:  # no input source
+        main(["persist"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:  # argparse rejects one file
         main(["gh", "--metric", str(bad)])
     assert exc.value.code == 2

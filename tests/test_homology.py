@@ -19,7 +19,7 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         DimensionTooLarge,
                         NotContinuous, ParseError, ProductKind, Theory,
                         build_space, cech, complex_chain_complex,
-                        complex_from_text, cubical_chain_complex, homology,
+                        complex_from_text, homology,
                         homology_basis, induced_map, interval, is_continuous,
                         j1, j_plus, parse_coefficients, point_space, product,
                         product_power, singular_chain_complex,
@@ -30,8 +30,8 @@ from closuretop._linalg import (_PRIME_LIMIT, Field, FieldReducer,
                                 rank_and_invariants, smith)
 from closuretop.homology import (_cube_faces, _lower_boundary_data,
                                  chain_map_columns,
-                                 cube_degenerate, cube_face, enumerate_cubes,
-                                 enumerate_simplices, homology_groups,
+                                 cube_degenerate, cube_face, enumerate_shapes,
+                                 homology_groups,
                                  induced_map_between, parse_theory)
 from closuretop.spaces import parse_interval
 from conftest import rand_space
@@ -324,7 +324,7 @@ def test_large_prime_coefficients():
         parse_coefficients("f3317044064679887385962123")
     # torsion-free, so every field sees the rational ranks
     P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
-    C = cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2)
+    C = singular_chain_complex(P, CUBE_JPLUS_TIMES, 2)
     for n in (0, 1):
         assert homology(C, n).torsion == ()
         assert homology(C, n, "f1000000000000000003").rank == \
@@ -472,7 +472,7 @@ def test_shape_enumerators_against_brute_force():
                    CUBE_JPLUS_BOX):
             J = interval(parse_interval(th.interval))
             for n in range(4):
-                assert enumerate_cubes(X, th, n) == _brute_force_maps(
+                assert enumerate_shapes(X, th, n) == _brute_force_maps(
                     product_power(J, n, th.product), X)
         for th in simplex_theories:
             for n in range(4):
@@ -482,7 +482,7 @@ def test_shape_enumerators_against_brute_force():
                 want = [t for t in _brute_force_maps(S, X)
                         if not th.normalized
                         or all(a != b for a, b in zip(t, t[1:]))]
-                assert enumerate_simplices(X, th, n) == want
+                assert enumerate_shapes(X, th, n) == want
 
 
 def _literal_complex(shapes, signed_faces, degenerate, top):
@@ -572,7 +572,7 @@ def test_chain_map_outside_the_target_raises_not_continuous():
     # (0, 1) is a shape of the source whose image is none of the target
     X = build_space([0, 1], {0: {0, 1}, 1: {0, 1}})
     Y = build_space([0, 1, 2], {y: {y} for y in range(3)})
-    cases = [(lambda S: cubical_chain_complex(S, CUBE_J1_TIMES, 2), False),
+    cases = [(lambda S: singular_chain_complex(S, CUBE_J1_TIMES, 2), False),
              (lambda S: singular_chain_complex(S, SIMPLEX_J1, 2), True),
              (lambda S: complex_chain_complex(vr(S), top=2), False)]
     for build, keeps_degenerate in cases:
@@ -670,7 +670,7 @@ def test_chain_map_columns_against_per_kind_oracle():
 
 def test_directed_square_h1():
     P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
-    C = cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2)
+    C = singular_chain_complex(P, CUBE_JPLUS_TIMES, 2)
     assert (C.dim(0), C.dim(1), C.dim(2)) == (4, 4, 8)
     assert all(col == {} for col in C.boundary_columns(2))
     g = homology(C, 1)
@@ -679,7 +679,7 @@ def test_directed_square_h1():
 
 def test_undirected_square_h1():
     P = product(interval(j1()), interval(j1()), ProductKind.INDUCTIVE)
-    C = cubical_chain_complex(P, CUBE_J1_TIMES, 2)
+    C = singular_chain_complex(P, CUBE_J1_TIMES, 2)
     assert C.dim(1) == 8
     r1, _ = rank_and_invariants(C.boundary_columns(1))
     r2, _ = rank_and_invariants(C.boundary_columns(2))
@@ -807,7 +807,7 @@ def test_prime_field_homology_by_universal_coefficients():
 def test_homology_basis_coords_roundtrip():
     Jp = interval(j_plus())
     P = product(Jp, Jp, ProductKind.INDUCTIVE)
-    cases = [(cubical_chain_complex(P, CUBE_JPLUS_TIMES, 2), 1),
+    cases = [(singular_chain_complex(P, CUBE_JPLUS_TIMES, 2), 1),
              (complex_chain_complex(complex_from_text(RP2, True)), 1)]
     # random spaces, kept once six of them have a degree-1 class
     rng = random.Random(127)
@@ -1023,13 +1023,13 @@ def test_homology_on_the_core_lists_only_the_cores_shapes(monkeypatch):
     # one point, so only the point's shapes are listed
     homology_mod = importlib.import_module("closuretop.homology")
     listed = []
-    enumerate_cubes = homology_mod.enumerate_cubes
+    enumerate_shapes = homology_mod.enumerate_shapes
 
     def counted(X, theory, n):
         listed.append(len(X.points))
-        return enumerate_cubes(X, theory, n)
+        return enumerate_shapes(X, theory, n)
 
-    monkeypatch.setattr(homology_mod, "enumerate_cubes", counted)
+    monkeypatch.setattr(homology_mod, "enumerate_shapes", counted)
     J = interval(j1())
     groups = singular_homology_groups(product(J, J), CUBE_J1_TIMES, range(3),
                                       "z", reduced=True)

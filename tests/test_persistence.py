@@ -16,7 +16,7 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         complex_chain_complex, diagram_from_json,
                         diagram_to_json, distortion, filtered_from_metric,
                         filtered_from_sublevel,
-                        filtered_from_weighted_digraph, filtered_simplices,
+                        filtered_from_weighted_digraph,
                         gh_distance, homology, inclusion_interleaving_maps,
                         metric_closure, metric_from_matrix,
                         persistence_complex,
@@ -24,7 +24,8 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         tower_to_diagram, verify_interleaving, vr)
 from closuretop import persistence as persistence_mod
 from closuretop._linalg import Field, FieldReducer
-from closuretop.persistence import Tower, _pair_term
+from closuretop.complexes import _skeleton
+from closuretop.persistence import Tower, _birth_rule, _levels, _pair_term
 from conftest import rand_metric, rand_space
 
 
@@ -64,17 +65,27 @@ def test_square_metric_degree_one_bar():
     assert out[0].as_multiset() == {(0, 1): 3, (0, None): 1}
 
 
+def _filtered_simplices(F, construction, max_dim):
+    """(birth, simplex) for the simplices of at most max_dim + 2 points,
+    from the birth rule and levels that persistence_complex reads, sorted
+    by birth, then size, then the points' reprs."""
+    points, vertex, grow = _birth_rule(F, construction)
+    levels = _levels(vertex, grow, len(F.grid), max_dim + 2)
+    ordered = sorted((bcs for level in levels for bcs in level),
+                     key=lambda bcs: (bcs[0], len(bcs[2]), bcs[1]))
+    return [(F.grid[b], tuple(points[i] for i in s)) for b, _, s in ordered]
+
+
 def test_filtered_simplices_first_appearance():
     M = metric_from_matrix(["a", "b"], [[0, 3], [3, 0]])
     F = filtered_from_metric(M)
-    sims = filtered_simplices(F, "vr", 0)
+    sims = _filtered_simplices(F, "vr", 0)
     assert sims == [(0, ("a",)), (0, ("b",)), (3, ("a", "b"))]
     with pytest.raises(BadParameter):
-        filtered_simplices(F, "alpha")
-    with pytest.raises(BadParameter):
-        filtered_simplices(F, "vr", -1)
-    with pytest.raises(BadParameter):
-        persistence_complex(F, "cech", max_dim=-1)
+        persistence_complex(F, "alpha")
+    for construction in ("vr", "cech"):
+        with pytest.raises(BadParameter):
+            persistence_complex(F, construction, max_dim=-1)
 
 
 def test_filtered_simplices_vr_thirty_point_births():
@@ -87,19 +98,16 @@ def test_filtered_simplices_vr_thirty_point_births():
             births[s] = max(M.dist[p] for p in itertools.combinations(s, 2))
     expected = sorted(((b, tuple(sorted(s, key=repr))) for s, b in births.items()),
                       key=lambda bs: (bs[0], len(bs[1]), tuple(map(repr, bs[1]))))
-    assert filtered_simplices(filtered_from_metric(M), "vr", 1) == expected
+    assert _filtered_simplices(filtered_from_metric(M), "vr", 1) == expected
 
 
 def _stage_by_stage_simplices(F, construction, max_dim):
-    """Reference: build the whole complex of every stage, keep first appearances."""
-    build = vr if construction == "vr" else cech
+    """Reference: build the complex of every stage up to simplices of
+    max_dim + 2 points, keep first appearances."""
     births = {}
     for t, stage in zip(F.grid, F.stages):
-        if not stage.points:
-            continue
-        for s in build(stage).simplices:
-            if len(s) <= max_dim + 2 and s not in births:
-                births[s] = t
+        for s in _skeleton(stage, construction, max_dim + 2).simplices:
+            births.setdefault(s, t)
     return sorted(((births[s], tuple(sorted(s, key=repr))) for s in births),
                   key=lambda bs: (bs[0], len(bs[1]), tuple(map(repr, bs[1]))))
 
@@ -129,7 +137,7 @@ def _rand_filtration(rng, kind):
 def test_filtered_simplices_match_stage_by_stage_build(seed, kind,
                                                        construction, max_dim):
     F = _rand_filtration(random.Random(seed), kind)
-    assert (filtered_simplices(F, construction, max_dim)
+    assert (_filtered_simplices(F, construction, max_dim)
             == _stage_by_stage_simplices(F, construction, max_dim))
 
 
@@ -245,7 +253,7 @@ def _boundary_reduction_diagrams(F, construction, max_dim, coefficients):
     """Reference: reduce the boundary column of every simplex up to
     max_dim + 1 in filtration order; the lowest row of a column that
     stays nonzero is the simplex its simplex kills."""
-    simplices = filtered_simplices(F, construction, max_dim)
+    simplices = _stage_by_stage_simplices(F, construction, max_dim)
     index = {s: i for i, (_, s) in enumerate(simplices)}
     reducer = FieldReducer(FIELDS[coefficients])
     pairs = {d: [] for d in range(max_dim + 1)}
