@@ -6,7 +6,7 @@ through builds a few spaces, checks continuity pointwise, and shows the
 two product operations and a quotient.
 """
 from closuretop import (ContinuousMap, ProductKind, build_space, closure,
-                        interior, interval, is_continuous, j1, j_plus,
+                        interior, is_continuous, j1, j_plus,
                         point_space, product, pushout, symmetrize,
                         topological_modification)
 
@@ -22,8 +22,8 @@ print("x->u, y->u, z->v continuous:",
       is_continuous({"x": "u", "y": "u", "z": "v"}, X, Y))
 
 # interval objects: the two-point indiscrete interval and the directed one
-J = interval(j1())
-Jp = interval(j_plus())
+J = j1()
+Jp = j_plus()
 print("indiscrete interval closures:", dict(J.closure_map))
 print("directed interval closures:", dict(Jp.closure_map))
 
@@ -35,7 +35,7 @@ print("corner closure, one-step product:", sorted(P_box.closure_map[(0, 0)]))
 
 # gluing two directed intervals tip to tail with a pushout
 from closuretop import j_minus
-Jm = interval(j_minus())
+Jm = j_minus()
 S = point_space("s")
 f = ContinuousMap(S, Jm, {"s": 1})
 g = ContinuousMap(S, Jp, {"s": 0})

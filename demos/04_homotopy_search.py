@@ -7,11 +7,11 @@ builds the one-step adjacency, and walks it breadth first, returning a
 verifiable witness chain.
 """
 from closuretop import (ContinuousMap, HomotopyQuery, ProductKind,
-                        build_space, interval, is_contractible, j1, j_plain,
+                        build_space, is_contractible, j1, j_plain,
                         j_plus, homotopic, homotopy_equivalent, point_space)
 
 # constants at the two ends of a three point path need two steps
-P3 = interval(j_plain(2))
+P3 = j_plain(2)
 c0 = ContinuousMap.constant(P3, P3, 0)
 c2 = ContinuousMap.constant(P3, P3, 2)
 q = HomotopyQuery(interval=j1(), product=ProductKind.PRODUCT)
@@ -31,6 +31,6 @@ print("constants into two components homotopic:",
 # direction matters for the directed interval
 qp = HomotopyQuery(interval=j_plus(), product=ProductKind.PRODUCT)
 print("directed interval contractible (directed steps):",
-      is_contractible(interval(j_plus()), qp) is not None)
+      is_contractible(j_plus(), qp) is not None)
 print("two point indiscrete space equivalent to the point:",
-      homotopy_equivalent(interval(j1()), point_space(), q) is not None)
+      homotopy_equivalent(j1(), point_space(), q) is not None)

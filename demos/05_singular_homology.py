@@ -7,17 +7,17 @@ exact, and any prime field or the rationals can be used instead.
 """
 from closuretop import (CUBE_J1_TIMES, CUBE_JPLUS_TIMES, ProductKind,
                         complex_chain_complex, complex_from_text,
-                        homology, homology_basis, interval, j1, j_plus,
+                        homology, homology_basis, j1, j_plus,
                         product, singular_chain_complex, singular_homology)
 
 # the boundary of a square made of two indiscrete intervals: a circle
-P = product(interval(j1()), interval(j1()), ProductKind.INDUCTIVE)
+P = product(j1(), j1(), ProductKind.INDUCTIVE)
 C = singular_chain_complex(P, CUBE_J1_TIMES, 2)
 print("chain ranks:", [C.dim(n) for n in range(3)])
 print("H_1 of the square boundary:", homology(C, 1))
 
 # the directed analogue keeps one directed loop with no 2-cells at all
-Pd = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
+Pd = product(j_plus(), j_plus(), ProductKind.INDUCTIVE)
 Cd = singular_chain_complex(Pd, CUBE_JPLUS_TIMES, 2)
 print("directed square H_1:", homology(Cd, 1))
 print("directed square has no nondegenerate relations:",

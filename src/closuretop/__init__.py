@@ -12,14 +12,14 @@ from .errors import (BadParameter, BoundExceeded, CapExceeded, ClosureError,
                      MissingPoint, NegativeEpsilon,
                      NotACorrespondence, NotContinuous, NotReflexive,
                      ParseError, ShapeMismatch, SourceTargetMismatch)
-from .spaces import (ContinuousMap, FiniteClosureSpace, IntervalFamily,
-                     IntervalSpec, ProductKind, build_space, closure,
-                     coequalizer, coproduct, interior, interval, is_closed,
-                     is_continuous, is_open, is_symmetric, j1, j_bits, j_bot,
-                     j_leq, j_minus, j_plain, j_plus, j_top, load_space,
-                     local_base, point_space, product, product_power, pushout,
-                     qd, relabel, reverse, space_from_json, space_to_json,
-                     subspace, symmetrize, topological_modification)
+from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
+                     build_space, closure, coequalizer, coproduct, interior,
+                     is_closed, is_continuous, is_open, is_symmetric, j1,
+                     j_bits, j_bot, j_leq, j_minus, j_plain, j_plus, j_top,
+                     load_space, local_base, point_space, product,
+                     product_power, pushout, qd, relabel, reverse,
+                     space_from_json, space_to_json, subspace, symmetrize,
+                     topological_modification)
 from .filtrations import (Decoration, FilteredClosureSpace, FiniteMetric,
                           WeightedDigraph, digraph_from_text,
                           filtered_from_metric, filtered_from_sublevel,

@@ -20,11 +20,11 @@ from .filtrations import (filtered_from_metric, filtered_from_sublevel,
                           digraph_from_text, sublevel_from_csv)
 from .homology import (parse_coefficients, parse_theory,
                        singular_homology_groups)
-from .homotopy import HomotopyQuery, homotopic
+from .homotopy import HomotopyQuery, _check_size, homotopic
 from .persistence import (DEFAULT_GH_CAP, bottleneck, diagram_to_json,
                           gh_distance, load_diagram, num_out,
                           persistence_complex)
-from .spaces import (ContinuousMap, ProductKind, load_space, parse_interval,
+from .spaces import (ContinuousMap, ProductKind, _interval_name, load_space,
                      point_names, read_json, refused)
 
 # the exit code of each error type; any other ClosureError or OSError is 1
@@ -189,7 +189,11 @@ def cmd_homotopic(args) -> int:
     Y = load_space(args.target)
     f = _load_map(args.map1, X, Y)
     g = _load_map(args.map2, X, Y)
-    query = HomotopyQuery(interval=parse_interval(args.interval),
+    make, interval_args = _interval_name(args.interval)
+    # the interval's m + 1 points count against the cap: refuse before
+    # building it, which takes up to (m + 1)^2 closure entries
+    _check_size(args.cap, interval_args[0] + 1)
+    query = HomotopyQuery(interval=make(*interval_args),
                           product=ProductKind(args.product),
                           max_steps=args.max_steps, size_cap=args.cap)
     witness = homotopic(f, g, query)

@@ -28,8 +28,8 @@ from .errors import (BadParameter, DegreeOutOfRange, DimensionTooLarge,
                      NotContinuous, ParseError)
 from .homotopy import homotopy_core
 from .spaces import (ContinuousMap, FiniteClosureSpace, ProductKind,
-                     enumerate_continuous_maps, interval, j_leq, j_top,
-                     parse_interval, point_space, product_power)
+                     enumerate_continuous_maps, j_leq, j_top, parse_interval,
+                     point_space, product_power)
 
 DEFAULT_CUBE_CAP = 6
 DEFAULT_SIMPLEX_CAP = 4
@@ -42,15 +42,12 @@ class Theory:
     shape: str                 # "cube" or "simplex"
     interval: str              # "j1" or "jplus"
     product: ProductKind = ProductKind.PRODUCT  # cubes only
-    normalized: bool = False   # simplices only
 
     def __post_init__(self):
         if self.shape not in ("cube", "simplex"):
             raise BadParameter(f"unknown shape {self.shape!r}")
         if self.interval not in ("j1", "jplus"):
             raise BadParameter(f"unknown interval {self.interval!r}")
-        if self.shape == "cube" and self.normalized:
-            raise BadParameter("only simplex theories can be normalized")
         if self.shape == "simplex" and self.product is not ProductKind.PRODUCT:
             raise BadParameter("simplex theories take their cores under the "
                                "product x")
@@ -163,24 +160,20 @@ def _shape_source(theory: Theory, n: int) -> FiniteClosureSpace:
     j_leq(n) under jplus, and one point at n = 0.
     """
     if theory.shape == "cube":
-        return product_power(interval(parse_interval(theory.interval)), n,
+        return product_power(parse_interval(theory.interval), n,
                              theory.product)
     if n == 0:
         return point_space()
-    return interval(j_top(n) if theory.interval == "j1" else j_leq(n))
+    return j_top(n) if theory.interval == "j1" else j_leq(n)
 
 
 def enumerate_shapes(X: FiniteClosureSpace, theory: Theory, n: int):
     """The theory's n-shapes in X: the continuous maps out of
     _shape_source(theory, n) as tuples of points of X (a cube's in table
-    order), in lexicographic order of the points' indices.  Normalized
-    theories drop tuples with two equal consecutive entries."""
+    order), in lexicographic order of the points' indices."""
     pts = X.points
-    shapes = [tuple(pts[i] for i in h)
-              for h in enumerate_continuous_maps(_shape_source(theory, n), X)]
-    if theory.normalized:
-        shapes = [t for t in shapes if _normalized_image(t, n)]
-    return shapes
+    return [tuple(pts[i] for i in h)
+            for h in enumerate_continuous_maps(_shape_source(theory, n), X)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +258,6 @@ def _tuple_image(tup, n):
     return tup, 1
 
 
-def _normalized_image(tup, n):
-    return None if any(a == b for a, b in zip(tup, tup[1:])) else (tup, 1)
-
-
 def _ordered_image(vertices, n):
     """Vertices sorted by repr, with the sort's sign; zero on a repeat."""
     if len(set(vertices)) != len(vertices):
@@ -282,10 +271,9 @@ def singular_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
                            cap: int = None) -> ChainComplex:
     """Chain complex of the theory's singular shapes up to dimension top.
 
-    Cubes are nondegenerate tables.  Simplices are unnormalized by
-    default: degenerate tuples are kept as basis elements, so the point
-    space has rank one in every degree.  Normalized theories leave them
-    out, so their faces and images count as zero.
+    Cubes are nondegenerate tables.  Simplices are unnormalized:
+    degenerate tuples are kept as basis elements, so the point space has
+    rank one in every degree.
     """
     cap = theory.default_cap() if cap is None else cap
     if top > cap:
@@ -294,8 +282,7 @@ def singular_chain_complex(X: FiniteClosureSpace, theory: Theory, top: int,
     if theory.shape == "cube":
         faces, image = _cube_faces, _cube_image
     else:
-        faces = _simplex_faces
-        image = _normalized_image if theory.normalized else _tuple_image
+        faces, image = _simplex_faces, _tuple_image
     return _assemble(lambda n: enumerate_shapes(X, theory, n), faces, top,
                      image)
 
@@ -441,7 +428,7 @@ class IntegerHomologyBasis:
         torsion entries reduced modulo the order."""
         a = self._lattice_coords(cycle)
         if a is None:
-            raise ValueError("not a cycle in the tracked lattice")
+            raise BadParameter("not a cycle in the tracked lattice")
         for r, p, col in self._pivots:  # row r by the rows after it
             f = a.pop(r, 0) * p
             if f:
@@ -488,7 +475,7 @@ class FieldHomologyBasis:
         F = self.field
         rest, tag = self._reducer.reduce(cycle, {})
         if rest:
-            raise ValueError("vector is outside the tracked span")
+            raise BadParameter("vector is outside the tracked span")
         return [F.of(-tag[g]) if g in tag else F.zero
                 for g in range(self.dimension)]
 

@@ -22,13 +22,11 @@ from .errors import (BadParameter, BoundExceeded, CapExceeded,
 from .spaces import (
     ContinuousMap,
     FiniteClosureSpace,
-    IntervalSpec,
     ProductKind,
     bits,
     closure_masks,
     enumerate_continuous_maps,
     homomorphisms,
-    interval,
     is_continuous,
     neighbour_lists,
     point_space,
@@ -37,23 +35,32 @@ from .spaces import (
 )
 
 
-def _first_retractable(X, I, kind, ends):
+def _interval_length(J: FiniteClosureSpace) -> int:
+    """The m of an interval object J, whose points must be 0, 1, ..., m
+    with m >= 1."""
+    if len(J) < 2 or J.points != tuple(range(len(J))):
+        raise BadParameter("an interval object has the points 0, 1, ..., m "
+                           "with m >= 1")
+    return len(J) - 1
+
+
+def _first_retractable(X, J, kind, ends):
     """The first point x, in point order, with a y whose retraction r is
     one step from the identity with r at one of ends; None if there is none."""
-    XJ = product(X, I, kind)
+    XJ = product(X, J, kind)
     c = X.closure_map
     for x, y in permutations(X.points, 2):
         for e, needs_out, needs_in in ends:
             if (needs_out and x not in c[y]) or (needs_in and y not in c[x]):
                 continue
-            H = {(p, i): p for p in X.points for i in I.points}
+            H = {(p, i): p for p in X.points for i in J.points}
             H[(x, e)] = y
             if is_continuous(H, XJ, X):
                 return x
     return None
 
 
-def homotopy_core(X: FiniteClosureSpace, J: IntervalSpec,
+def homotopy_core(X: FiniteClosureSpace, J: FiniteClosureSpace,
                   kind: ProductKind) -> FiniteClosureSpace:
     """X less the points removed one at a time by one-step deformation
     retractions; a subspace of X homotopy equivalent to it under (J, kind).
@@ -68,13 +75,13 @@ def homotopy_core(X: FiniteClosureSpace, J: IntervalSpec,
     (x, j) for every edge e -> j of J, so a pair is skipped unless x is
     in c(y) when e has an out-edge and y is in c(x) when it has an in-edge.
     """
-    I = interval(J)
+    m = _interval_length(J)
     # per end e of J: e, whether e has an out-edge, whether it has an in-edge
-    ends = [(e, any(j != e for j in I.closure_map[e]),
-             any(e in I.closure_map[j] for j in I.points if j != e))
-            for e in (0, J.m)]
+    ends = [(e, any(j != e for j in J.closure_map[e]),
+             any(e in J.closure_map[j] for j in J.points if j != e))
+            for e in (0, m)]
     while len(X.points) > 1:
-        x = _first_retractable(X, I, kind, ends)
+        x = _first_retractable(X, J, kind, ends)
         if x is None:
             break
         X = subspace(X, [p for p in X.points if p != x])
@@ -85,7 +92,7 @@ def homotopy_core(X: FiniteClosureSpace, J: IntervalSpec,
 class HomotopyQuery:
     """Interval, product kind and search budget for a homotopy search."""
 
-    interval: IntervalSpec
+    interval: FiniteClosureSpace
     product: ProductKind
     max_steps: int = 8
     size_cap: int = 5
@@ -150,10 +157,10 @@ class MapGraph:
     """
 
     def __init__(self, X: FiniteClosureSpace, Y: FiniteClosureSpace,
-                 J: IntervalSpec, kind: ProductKind):
+                 J: FiniteClosureSpace, kind: ProductKind):
+        self.m = _interval_length(J)
         self.X, self.Y, self.J, self.kind = X, Y, J, kind
-        self._interval = interval(J)
-        self._j_relation = neighbour_lists(self._interval)
+        self._j_relation = neighbour_lists(J)
         self.maps = enumerate_continuous_maps(X, Y)
         self.index = {t: i for i, t in enumerate(self.maps)}
         self._edge_masks = self._edge_relation()
@@ -162,7 +169,7 @@ class MapGraph:
     @cached_property
     def _literal_product(self) -> FiniteClosureSpace:
         """X (x) J as a space, built once for the witness checks."""
-        return product(self.X, self._interval, self.kind)
+        return product(self.X, self.J, self.kind)
 
     def _edge_relation(self):
         """Row and column masks of E: E[u, v] iff v(x') is in the closure
@@ -196,7 +203,7 @@ class MapGraph:
         return rows, cols
 
     def _adjacency(self):
-        J, m, n = self._j_relation, self.J.m, len(self.maps)
+        J, m, n = self._j_relation, self.m, len(self.maps)
         out, inn = self._edge_masks
 
         def end_constraints(e):
@@ -269,11 +276,12 @@ class MapGraph:
 
 def _verify_literal(graph: MapGraph, maps) -> bool:
     """Check the assembled H on the literal product space."""
-    H = {(x, i): maps[i][x] for x in graph.X.points for i in graph._interval.points}
+    H = {(x, i): maps[i][x] for x in graph.X.points for i in graph.J.points}
     return is_continuous(H, graph._literal_product, graph.Y)
 
 
-def one_step_homotopic(f: ContinuousMap, g: ContinuousMap, J: IntervalSpec,
+def one_step_homotopic(f: ContinuousMap, g: ContinuousMap,
+                       J: FiniteClosureSpace,
                        kind: ProductKind) -> Optional[OneStepWitness]:
     """Decide one-step (J, kind)-homotopy from f to g; return the witness tuple.
 
@@ -296,18 +304,18 @@ def _extract_one_step(graph: MapGraph, u: int, v: int) -> OneStepWitness:
     forward = graph.one_step(u, v)
     a, b = (u, v) if forward else (v, u)
     slots = next(homomorphisms(graph._j_relation, graph._edge_masks,
-                               {0: 1 << a, graph.J.m: 1 << b}))
+                               {0: 1 << a, graph.m: 1 << b}))
     maps = tuple(_as_mapping(graph.X, graph.Y, graph.maps[s]) for s in slots)
     if not _verify_literal(graph, maps):
         raise AssertionError("one-step witness is not continuous on X (x) J")
     return OneStepWitness(maps=maps, forward=forward)
 
 
-def _check_size(query: HomotopyQuery, X, Y):
-    # J has m + 1 points, and is built before any map is searched
-    if max(len(X.points), len(Y.points), query.interval.m + 1) > query.size_cap:
+def _check_size(cap: int, *sizes):
+    """Refuse a search whose spaces or interval have more than cap points."""
+    if max(sizes) > cap:
         raise CapExceeded(f"spaces or interval exceed the size cap "
-                          f"{query.size_cap}; raise size_cap to override")
+                          f"{cap}; raise size_cap to override")
 
 
 def _witness(graph: MapGraph, chain) -> HomotopyWitness:
@@ -326,7 +334,7 @@ def homotopic(f: ContinuousMap, g: ContinuousMap,
     """
     _require_parallel(f, g)
     X, Y = f.source, f.target
-    _check_size(query, X, Y)
+    _check_size(query.size_cap, len(X), len(Y), len(query.interval))
     graph = MapGraph(X, Y, query.interval, query.product)
     u = graph.index[_as_tuple(X, Y, f.mapping)]
     v = graph.index[_as_tuple(X, Y, g.mapping)]
@@ -340,7 +348,7 @@ def homotopy_equivalent(X: FiniteClosureSpace, Y: FiniteClosureSpace,
     homotopic to the identities.  Returns (f, g, witness_X, witness_Y)
     or None; raises BoundExceeded when absence could not be proven.
     """
-    _check_size(query, X, Y)
+    _check_size(query.size_cap, len(X), len(Y), len(query.interval))
     graph_x = MapGraph(X, X, query.interval, query.product)
     graph_y = MapGraph(Y, Y, query.interval, query.product)
     bounded = False

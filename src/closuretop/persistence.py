@@ -615,18 +615,25 @@ def gh_distance(FX: FilteredClosureSpace, FY: FilteredClosureSpace,
 # ---------------------------------------------------------------------------
 # interleaving verification
 
+def _check_towers(M: Tower, N: Tower):
+    """Refuse two towers that do not share a grid, a degree and a field."""
+    if M.grid != N.grid:
+        raise ShapeMismatch("towers must be given on a merged grid")
+    if M.degree != N.degree:
+        raise ShapeMismatch("towers must share a homology degree")
+    if M.field != N.field:
+        raise ShapeMismatch("towers must share a coefficient field")
+
+
 def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
     """Check the four interleaving identities on the common grid.
 
-    M and N must share one grid; phi[i] maps M at grid[i] into N at
-    grid[i]+eps, psi[i] the other way.  Checks the two triangle
-    identities and naturality of both families on each stage's unit
-    vectors.
+    M and N must share one grid, degree and field; phi[i] maps M at
+    grid[i] into N at grid[i]+eps, psi[i] the other way.  Checks the two
+    triangle identities and naturality of both families on each stage's
+    unit vectors.
     """
-    if M.grid != N.grid:
-        raise ShapeMismatch("towers must be given on a merged grid")
-    if M.field != N.field:
-        raise ShapeMismatch("towers must share a coefficient field")
+    _check_towers(M, N)
     F = M.field
     grid = M.grid
     k = len(grid)
@@ -662,11 +669,10 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
 def inclusion_interleaving_maps(A: Tower, B: Tower, eps):
     """phi matrices A -> B induced by stage-wise point inclusions.
 
-    Both towers must live on the same merged grid and come from
-    persistence_tower so their complexes and bases are available.
+    Both towers must share one merged grid, degree and field and come
+    from persistence_tower so their complexes and bases are available.
     """
-    if A.grid != B.grid:
-        raise ShapeMismatch("towers must be given on a merged grid")
+    _check_towers(A, B)
     if A._complexes is None or B._complexes is None:
         raise ShapeMismatch("towers lack stage data for building inclusions")
     out = []

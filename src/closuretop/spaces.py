@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import reprlib
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import (
     BadParameter,
@@ -468,109 +466,86 @@ def relabel(X: FiniteClosureSpace, mapping) -> FiniteClosureSpace:
     return FiniteClosureSpace(pts, cmap)
 
 
-class IntervalFamily(Enum):
-    BOT = "bot"        # discrete
-    TOP = "top"        # indiscrete
-    PLAIN = "plain"    # |i - j| <= 1
-    BITS = "bits"      # edge directions chosen by the bits of k
-    LEQ = "leq"        # c(i) = {j | i <= j}
+def _interval(m: int, others) -> FiniteClosureSpace:
+    """The interval object on the points 0, ..., m whose c(i) is i and the
+    points of others(i) in that range."""
+    if m < 1:
+        raise BadParameter("interval length m must be positive")
+    pts = range(m + 1)
+    return FiniteClosureSpace(pts, {i: {i, *(j for j in others(i) if j in pts)}
+                                    for i in pts})
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
-    """A named interval object on the points {0, ..., m}."""
-
-    family: IntervalFamily
-    m: int = 1
-    k: Optional[int] = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise BadParameter("interval length m must be positive")
-        if self.family is IntervalFamily.BITS:
-            if self.k is None or not 0 <= self.k < 2 ** self.m:
-                raise BadParameter("BITS requires 0 <= k < 2^m")
-        elif self.k is not None:
-            raise BadParameter("k is only meaningful for the BITS family")
+def j_bot(m: int = 1) -> FiniteClosureSpace:
+    """The discrete interval."""
+    return _interval(m, lambda i: ())
 
 
-def interval(spec: IntervalSpec) -> FiniteClosureSpace:
-    """Build the interval object named by spec on the points {0, ..., m}."""
-    m = spec.m
-    pts = list(range(m + 1))
-    cl = {i: {i} for i in pts}
-    if spec.family is IntervalFamily.BOT:
-        pass
-    elif spec.family is IntervalFamily.TOP:
-        cl = {i: set(pts) for i in pts}
-    elif spec.family is IntervalFamily.PLAIN:
-        cl = {i: {j for j in pts if abs(i - j) <= 1} for i in pts}
-    elif spec.family is IntervalFamily.LEQ:
-        cl = {i: {j for j in pts if i <= j} for i in pts}
-    elif spec.family is IntervalFamily.BITS:
-        for i in range(1, m + 1):
-            bit = (spec.k >> (i - 1)) & 1
-            if bit == 0:
-                cl[i].add(i - 1)
-            else:
-                cl[i - 1].add(i)
-    else:  # pragma: no cover
-        raise BadParameter(f"unknown family {spec.family!r}")
-    return FiniteClosureSpace(pts, cl)
+def j_top(m: int = 1) -> FiniteClosureSpace:
+    """The indiscrete interval."""
+    return _interval(m, lambda i: range(m + 1))
 
 
-def j_bot(m: int = 1) -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.BOT, m)
+def j_plain(m: int) -> FiniteClosureSpace:
+    """The path: c(i) = {j | |i - j| <= 1}."""
+    return _interval(m, lambda i: (i - 1, i + 1))
 
 
-def j_top(m: int = 1) -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.TOP, m)
+def j_leq(m: int) -> FiniteClosureSpace:
+    """c(i) = {j | i <= j}."""
+    return _interval(m, lambda i: range(i, m + 1))
 
 
-def j_plain(m: int) -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.PLAIN, m)
+def j_bits(m: int, k: int) -> FiniteClosureSpace:
+    """The path with its edge i-1 -- i directed by bit i-1 of k, for
+    0 <= k < 2^m: i is in c(i-1) when the bit is 1, i-1 in c(i) when 0."""
+    if m >= 1 and not 0 <= k < 2 ** m:
+        raise BadParameter("BITS requires 0 <= k < 2^m")
+    return _interval(m, lambda i: [j for j in (i - 1, i + 1) if j >= 0 and
+                                   (k >> min(i, j) & 1) == (j > i)])
 
 
-def j_bits(m: int, k: int) -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.BITS, m, k)
+def j1() -> FiniteClosureSpace:
+    return j_top(1)
 
 
-def j_leq(m: int) -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.LEQ, m)
+def j_plus() -> FiniteClosureSpace:
+    return j_bits(1, 1)
 
 
-def j1() -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.TOP, 1)
+def j_minus() -> FiniteClosureSpace:
+    return j_bits(1, 0)
 
 
-def j_plus() -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.BITS, 1, 1)
+# name: (constructor, its fixed arguments, how many integers follow the
+# name); every constructor takes the length m first
+_INTERVAL_NAMES = {"j1": (j_top, (1,), 0), "jplus": (j_bits, (1, 1), 0),
+                   "jminus": (j_bits, (1, 0), 0), "top": (j_top, (), 1),
+                   "bot": (j_bot, (), 1), "plain": (j_plain, (), 1),
+                   "leq": (j_leq, (), 1), "bits": (j_bits, (), 2)}
 
 
-def j_minus() -> IntervalSpec:
-    return IntervalSpec(IntervalFamily.BITS, 1, 0)
+def _interval_name(text: str):
+    """The constructor named by an interval name and its arguments, the
+    length m first; ParseError for a malformed name."""
+    name, *args = text.strip().lower().split(":")
+    make, fixed, arity = _INTERVAL_NAMES.get(name, (None, (), None))
+    if arity != len(args):
+        raise ParseError(f"unknown interval {text!r}")
+    try:
+        return make, fixed + tuple(int(a) for a in args)
+    except ValueError as exc:
+        raise ParseError(f"bad interval {text!r}: {exc}") from exc
 
 
-_NAMED_INTERVALS = {"j1": j1, "jplus": j_plus, "jminus": j_minus}
-
-
-def parse_interval(text: str) -> IntervalSpec:
+def parse_interval(text: str) -> FiniteClosureSpace:
     """Interval names: j1, jplus, jminus, top:m, bot:m, plain:m, leq:m, bits:m:k.
 
     A malformed name raises ParseError; a well-formed one with an
     out-of-range m or k raises BadParameter.
     """
-    name, *args = text.strip().lower().split(":")
-    try:
-        if name in _NAMED_INTERVALS and not args:
-            return _NAMED_INTERVALS[name]()
-        if name in ("top", "bot", "plain", "leq") and len(args) == 1:
-            return IntervalSpec(IntervalFamily[name.upper()], int(args[0]))
-        if name == "bits" and len(args) == 2:
-            return IntervalSpec(IntervalFamily.BITS, int(args[0]), int(args[1]))
-    except ValueError as exc:
-        raise ParseError(f"bad interval {text!r}: {exc}") from exc
-    raise ParseError(f"unknown interval {text!r}")
+    make, args = _interval_name(text)
+    return make(*args)
 
 
 def local_base(X: FiniteClosureSpace, x) -> frozenset:

@@ -16,7 +16,7 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         ProductKind, Theory, bottleneck, cech,
                         filtered_from_metric, filtered_from_sublevel,
                         gh_distance, homology, inclusion_interleaving_maps,
-                        interval, is_continuous, is_hypergraph_map,
+                        is_continuous, is_hypergraph_map,
                         is_simplicial, j1, j_bits, j_bot, j_leq, j_plain,
                         j_plus, j_top, metric_from_matrix, persistence_complex,
                         persistence_tower, point_space, product,
@@ -52,7 +52,7 @@ def criterion(num, label, limit):
 
 @criterion(1, "directed square has one directed loop", 1)
 def test_c01_directed_square():
-    P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
+    P = product(j_plus(), j_plus(), ProductKind.INDUCTIVE)
     C = singular_chain_complex(P, CUBE_JPLUS_TIMES, 2)
     assert all(col == {} for col in C.boundary_columns(2))
     g = homology(C, 1)
@@ -61,7 +61,7 @@ def test_c01_directed_square():
 
 @criterion(2, "undirected square kernel and image ranks", 5)
 def test_c02_undirected_square():
-    P = product(interval(j1()), interval(j1()), ProductKind.INDUCTIVE)
+    P = product(j1(), j1(), ProductKind.INDUCTIVE)
     C = singular_chain_complex(P, CUBE_J1_TIMES, 2)
     r1, _ = rank_and_invariants(C.boundary_columns(1))
     r2, _ = rank_and_invariants(C.boundary_columns(2))
@@ -73,7 +73,7 @@ def test_c02_undirected_square():
 
 @criterion(3, "directed interval splits under the undirected theories", 1)
 def test_c03_directed_interval_components():
-    Jp = interval(j_plus())
+    Jp = j_plus()
     for th in (CUBE_J1_TIMES, CUBE_J1_BOX):
         g = singular_homology(Jp, th, 0)
         assert g.rank == 2 and g.torsion == ()
@@ -87,7 +87,7 @@ def test_c04_interval_powers_acyclic():
               (j_plus(), CUBE_JPLUS_BOX, ProductKind.INDUCTIVE)]
     for J, th, kind in combos:
         for n in (0, 1, 2):
-            X = product_power(interval(J), n, kind)
+            X = product_power(J, n, kind)
             for deg in (0, 1, 2):
                 g = singular_homology(X, th, deg, reduced=True)
                 assert str(g) == "0", (J, th, n, deg)

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from closuretop import build_space, space_to_json
-from closuretop import cli
+from closuretop import cli, spaces
 from closuretop.cli import main
 from closuretop.homology import (homology, parse_theory,
                                  singular_chain_complex)
@@ -426,7 +426,8 @@ def test_numbers_beyond_float_range_are_errors(tmp_path, capsys):
                            "be printed\n"), argv
 
 
-def test_interval_counts_against_the_size_cap(tmp_path, capsys):
+def test_interval_counts_against_the_size_cap(tmp_path, capsys,
+                                              monkeypatch):
     pt = tmp_path / "pt.json"
     pt.write_text(space_to_json(build_space(["p"], {"p": {"p"}})))
     f = tmp_path / "f.json"
@@ -437,3 +438,13 @@ def test_interval_counts_against_the_size_cap(tmp_path, capsys):
     # top:5 has six points, one over the cap
     assert main(argv + ["--interval", "top:5"]) == 1
     assert "exceed the size cap 5" in capsys.readouterr().err
+
+    # the cap is checked on the name, before any interval is built:
+    # leq:m alone has (m + 1)(m + 2) / 2 closure entries
+    def never(m, near):
+        raise AssertionError(f"an interval of length {m} was built")
+
+    monkeypatch.setattr(spaces, "_interval", never)
+    for name in ("leq:100000", "top:5", "bits:40:3"):
+        assert main(argv + ["--interval", name]) == 1, name
+        assert "exceed the size cap 5" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from closuretop import (BadParameter, ContinuousMap, Hypergraph, MissingPoint,
                         build_space, cech, complex_from_text, complex_to_text,
                         contiguous, cosk1, cosk_inf, dc, g_functor, gamma,
                         is_continuous, is_hypergraph_map, is_simplicial,
-                        ProductKind, coproduct, interval, j1, load_complex,
+                        ProductKind, coproduct, j1, load_complex,
                         product, symmetrize, tr1, tr_inf, vr)
 from closuretop.complexes import cliques
 from conftest import all_spaces, rand_space
@@ -311,7 +311,7 @@ def test_complex_text_reads_back_vr_and_cech_output():
 def test_complex_files_read_tuple_points_back():
     """A token that parses as a JSON list names its tuple; any other token
     is its str, so a point whose token names another point is refused."""
-    J1 = interval(j1())
+    J1 = j1()
     spaces = [product(J1, J1), product(J1, J1, ProductKind.INDUCTIVE),
               coproduct([J1, build_space(["a", "[1"], {"a": {"a", "[1"},
                                                         "[1": {"[1"}})]),

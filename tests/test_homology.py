@@ -20,7 +20,7 @@ from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         NotContinuous, ParseError, ProductKind, Theory,
                         build_space, cech, complex_chain_complex,
                         complex_from_text, homology,
-                        homology_basis, induced_map, interval, is_continuous,
+                        homology_basis, induced_map, is_continuous,
                         j1, j_plus, parse_coefficients, point_space, product,
                         product_power, singular_chain_complex,
                         singular_homology, singular_homology_groups, vr)
@@ -323,7 +323,7 @@ def test_large_prime_coefficients():
         # a prime past the bound up to which primality is decided
         parse_coefficients("f3317044064679887385962123")
     # torsion-free, so every field sees the rational ranks
-    P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
+    P = product(j_plus(), j_plus(), ProductKind.INDUCTIVE)
     C = singular_chain_complex(P, CUBE_JPLUS_TIMES, 2)
     for n in (0, 1):
         assert homology(C, n).torsion == ()
@@ -443,9 +443,10 @@ def _brute_force_maps(S, X):
 
 
 def test_theory_refuses_a_normalized_cube():
+    # no theory is normalized: Theory takes no such field
     for interval_name in ("j1", "jplus"):
         for kind in ProductKind:
-            with pytest.raises(BadParameter, match="normalized"):
+            with pytest.raises(TypeError, match="normalized"):
                 Theory("cube", interval_name, kind, normalized=True)
     assert parse_theory("j1-box") == Theory("cube", "j1", ProductKind.INDUCTIVE)
 
@@ -453,36 +454,28 @@ def test_theory_refuses_a_normalized_cube():
 def test_theory_refuses_a_simplex_core_under_the_box_product():
     # a simplex theory's product only picks the homotopy core's product
     for interval_name in ("j1", "jplus"):
-        for normalized in (False, True):
-            with pytest.raises(BadParameter, match="product x"):
-                Theory("simplex", interval_name, ProductKind.INDUCTIVE,
-                       normalized)
+        with pytest.raises(BadParameter, match="product x"):
+            Theory("simplex", interval_name, ProductKind.INDUCTIVE)
     assert parse_theory("simplicial-jplus") == Theory("simplex", "jplus")
 
 
 def test_shape_enumerators_against_brute_force():
     # same list in the same order: basis order fixes the boundary matrices
     rng = random.Random(113)
-    simplex_theories = [SIMPLEX_J1, SIMPLEX_JPLUS,
-                        Theory("simplex", "j1", normalized=True),
-                        Theory("simplex", "jplus", normalized=True)]
     for size in (1, 2, 3, 3):
         X = rand_space(rng, size)
         for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
                    CUBE_JPLUS_BOX):
-            J = interval(parse_interval(th.interval))
+            J = parse_interval(th.interval)
             for n in range(4):
                 assert enumerate_shapes(X, th, n) == _brute_force_maps(
                     product_power(J, n, th.product), X)
-        for th in simplex_theories:
+        for th in (SIMPLEX_J1, SIMPLEX_JPLUS):
             for n in range(4):
                 S = build_space(range(n + 1), {
                     a: range(0 if th.interval == "j1" else a, n + 1)
                     for a in range(n + 1)})
-                want = [t for t in _brute_force_maps(S, X)
-                        if not th.normalized
-                        or all(a != b for a, b in zip(t, t[1:]))]
-                assert enumerate_shapes(X, th, n) == want
+                assert enumerate_shapes(X, th, n) == _brute_force_maps(S, X)
 
 
 def _literal_complex(shapes, signed_faces, degenerate, top):
@@ -517,7 +510,7 @@ def _literal_simplex_faces(tup, n):
 
 def _literal_singular(X, th, top):
     if th.shape == "cube":
-        J = interval(parse_interval(th.interval))
+        J = parse_interval(th.interval)
         return _literal_complex(
             lambda n: _brute_force_maps(product_power(J, n, th.product), X),
             _literal_cube_faces,
@@ -528,10 +521,8 @@ def _literal_singular(X, th, top):
             a: range(0 if th.interval == "j1" else a, n + 1)
             for a in range(n + 1)})
         return _brute_force_maps(S, X)
-    return _literal_complex(
-        shapes, _literal_simplex_faces,
-        lambda t, n: th.normalized and any(a == b for a, b in zip(t, t[1:])),
-        top)
+    return _literal_complex(shapes, _literal_simplex_faces,
+                            lambda t, n: False, top)
 
 
 def _literal_clique(K, top):
@@ -551,13 +542,10 @@ def test_chain_complexes_against_literal_build():
     rng = random.Random(157)
     cube_theories = (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
                      CUBE_JPLUS_BOX)
-    simplex_theories = (SIMPLEX_J1, SIMPLEX_JPLUS,
-                        Theory("simplex", "j1", normalized=True),
-                        Theory("simplex", "jplus", normalized=True))
     for size in (1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 5):
         X = rand_space(rng, size, p=rng.choice((0.3, 0.5, 0.7)))
         cases = [(th, 3 if size <= 3 else 2) for th in cube_theories]
-        cases += [(th, 3) for th in simplex_theories]
+        cases += [(th, 3) for th in (SIMPLEX_J1, SIMPLEX_JPLUS)]
         for th, top in cases:
             C = singular_chain_complex(X, th, top)
             assert (C.basis, C.boundaries) == _literal_singular(X, th, top)
@@ -590,9 +578,9 @@ def test_chain_map_outside_the_target_raises_not_continuous():
 
 def _oracle_chain_map_columns(C_src, C_tgt, n, mapping, theory):
     """The chain-map rule written out per kind of complex: cube theories
-    drop degenerate tables, normalized simplex theories drop tuples with
-    equal neighbours, and theory None (a simplicial complex) drops
-    repeated vertices and sorts the rest by repr with the sort's sign."""
+    drop degenerate tables, simplex theories keep every tuple, and theory
+    None (a simplicial complex) drops repeated vertices and sorts the
+    rest by repr with the sort's sign."""
     tgt_index = C_tgt.index.get(n, {})
     cols = []
     for b in C_src.basis.get(n, []):
@@ -612,10 +600,6 @@ def _oracle_chain_map_columns(C_src, C_tgt, n, mapping, theory):
             if n > 0 and cube_degenerate(image, n):
                 cols.append({})
                 continue
-        elif theory.normalized and any(
-                image[i] == image[i + 1] for i in range(len(image) - 1)):
-            cols.append({})
-            continue
         row = tgt_index.get(image)
         if row is None:
             raise NotContinuous(f"{b!r} maps outside the target's basis")
@@ -629,9 +613,7 @@ def test_chain_map_columns_against_per_kind_oracle():
     rng = random.Random(163)
     kinds = [(lambda S, th=th: singular_chain_complex(S, th, 2), th)
              for th in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
-                        CUBE_JPLUS_BOX, SIMPLEX_J1, SIMPLEX_JPLUS,
-                        Theory("simplex", "j1", normalized=True),
-                        Theory("simplex", "jplus", normalized=True))]
+                        CUBE_JPLUS_BOX, SIMPLEX_J1, SIMPLEX_JPLUS)]
     kinds += [(lambda S, K=K: complex_chain_complex(K(S), top=2), None)
               for K in (vr, cech)]
     outcomes = set()
@@ -669,7 +651,7 @@ def test_chain_map_columns_against_per_kind_oracle():
 # worked examples
 
 def test_directed_square_h1():
-    P = product(interval(j_plus()), interval(j_plus()), ProductKind.INDUCTIVE)
+    P = product(j_plus(), j_plus(), ProductKind.INDUCTIVE)
     C = singular_chain_complex(P, CUBE_JPLUS_TIMES, 2)
     assert (C.dim(0), C.dim(1), C.dim(2)) == (4, 4, 8)
     assert all(col == {} for col in C.boundary_columns(2))
@@ -678,7 +660,7 @@ def test_directed_square_h1():
 
 
 def test_undirected_square_h1():
-    P = product(interval(j1()), interval(j1()), ProductKind.INDUCTIVE)
+    P = product(j1(), j1(), ProductKind.INDUCTIVE)
     C = singular_chain_complex(P, CUBE_J1_TIMES, 2)
     assert C.dim(1) == 8
     r1, _ = rank_and_invariants(C.boundary_columns(1))
@@ -689,7 +671,7 @@ def test_undirected_square_h1():
 
 
 def test_h0_of_directed_interval():
-    Jp = interval(j_plus())
+    Jp = j_plus()
     for th in (CUBE_J1_TIMES, CUBE_J1_BOX):
         g = singular_homology(Jp, th, 0)
         assert g.rank == 2 and g.torsion == ()
@@ -781,9 +763,7 @@ def test_prime_field_homology_by_universal_coefficients():
     # elimination over F_p, reduced and not
     primes = (2, 3, 5, 4294967311)
     theories = (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES, CUBE_JPLUS_BOX,
-                SIMPLEX_J1, SIMPLEX_JPLUS,
-                Theory("simplex", "j1", normalized=True),
-                Theory("simplex", "jplus", normalized=True))
+                SIMPLEX_J1, SIMPLEX_JPLUS)
     rng = random.Random(167)
     complexes = []
     for _ in range(40):
@@ -805,7 +785,7 @@ def test_prime_field_homology_by_universal_coefficients():
 
 
 def test_homology_basis_coords_roundtrip():
-    Jp = interval(j_plus())
+    Jp = j_plus()
     P = product(Jp, Jp, ProductKind.INDUCTIVE)
     cases = [(singular_chain_complex(P, CUBE_JPLUS_TIMES, 2), 1),
              (complex_chain_complex(complex_from_text(RP2, True)), 1)]
@@ -847,7 +827,7 @@ def test_coords_refuse_a_non_cycle_when_the_group_is_zero():
         B = homology_basis(C, 0, coeffs, reduced=True)
         assert B.dimension == 0
         assert B.coords({}) == []
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameter):
             B.coords({0: 1})
 
 
@@ -940,17 +920,6 @@ def test_degree_and_cap_errors():
     singular_chain_complex(X, CUBE_J1_TIMES, 7, cap=8)
 
 
-def test_normalized_simplicial_variant_agrees_on_small_spaces():
-    norm = Theory("simplex", "j1", normalized=True)
-    rng = random.Random(107)
-    for _ in range(8):
-        X = rand_space(rng, rng.randint(1, 4))
-        for n in (0, 1):
-            a = singular_homology(X, SIMPLEX_J1, n)
-            b = singular_homology(X, norm, n)
-            assert (a.rank, a.torsion) == (b.rank, b.torsion)
-
-
 def test_homotopy_invariance_sample():
     from closuretop.homotopy import MapGraph
     rng = random.Random(109)
@@ -1013,7 +982,7 @@ def test_homology_on_the_cores_of_interval_powers():
     # J and J x J under the theory's own product; the cores are one point
     # except on the box squares, which no single-point retraction shrinks
     for theory in _SIX_THEORIES:
-        J = interval(parse_interval(theory.interval))
+        J = parse_interval(theory.interval)
         for X in (J, product_power(J, 2, theory.product)):
             _check_groups_on_the_core(X, theory)
 
@@ -1030,7 +999,7 @@ def test_homology_on_the_core_lists_only_the_cores_shapes(monkeypatch):
         return enumerate_shapes(X, theory, n)
 
     monkeypatch.setattr(homology_mod, "enumerate_shapes", counted)
-    J = interval(j1())
+    J = j1()
     groups = singular_homology_groups(product(J, J), CUBE_J1_TIMES, range(3),
                                       "z", reduced=True)
     assert [str(g) for g in groups.values()] == ["0", "0", "0"]

@@ -6,10 +6,11 @@ import pytest
 
 from closuretop import (CUBE_J1_BOX, CUBE_J1_TIMES, CUBE_JPLUS_BOX,
                         CUBE_JPLUS_TIMES, SIMPLEX_J1, SIMPLEX_JPLUS,
-                        BoundExceeded, CapExceeded, ContinuousMap,
-                        ProductKind, build_space, interval, is_continuous,
-                        j1, j_bits, j_bot, j_leq, j_minus, j_plain, j_plus,
-                        j_top, point_space, product, subspace)
+                        BadParameter, BoundExceeded, CapExceeded,
+                        ContinuousMap, ProductKind, build_space,
+                        is_continuous, j1, j_bits, j_bot, j_leq, j_minus,
+                        j_plain, j_plus, j_top, point_space, product,
+                        subspace)
 from closuretop.homotopy import (HomotopyQuery, MapGraph,
                                  enumerate_continuous_maps, homotopic,
                                  homotopy_core, homotopy_equivalent,
@@ -48,14 +49,12 @@ def test_enumerate_continuous_maps_on_a_long_chain():
 def _one_step_oracle(f, g, J, kind):
     """Literal check: search all endpoint-pinned tuples of continuous maps."""
     X, Y = f.source, f.target
-    Jsp = interval(J)
-    XJ = product(X, Jsp, kind)
+    XJ = product(X, J, kind)
     maps = _maps_between(X, Y)
-    m = J.m
-    for mid in itertools.product(maps, repeat=m - 1):
+    for mid in itertools.product(maps, repeat=len(J) - 2):
         stages = [f, *mid, g]
         H = {(x, i): stages[i].mapping[x] for x in X.points
-             for i in Jsp.points}
+             for i in J.points}
         if is_continuous(H, XJ, Y):
             return True
     return False
@@ -173,9 +172,9 @@ def test_witness_chain_is_verifiable():
             assert len(w.steps) == w.step_count >= 1
             for s in w.stages:
                 assert is_continuous(s, X, Y)
-            XJ = product(X, interval(J), kind)
+            XJ = product(X, J, kind)
             for k, step in enumerate(w.steps):
-                assert len(step.maps) == J.m + 1
+                assert len(step.maps) == len(J)
                 H = {(x, i): h[x] for i, h in enumerate(step.maps)
                      for x in X.points}
                 assert is_continuous(H, XJ, Y)
@@ -205,7 +204,7 @@ def test_cap_and_bound():
         homotopic(f, f, q)
     # a tight budget raises instead of deciding: the two ends of the
     # three-point path need two steps, through the constant middle map
-    P3 = interval(j_plain(2))
+    P3 = j_plain(2)
     c0 = ContinuousMap.constant(P3, P3, 0)
     c2 = ContinuousMap.constant(P3, P3, 2)
     q1 = HomotopyQuery(interval=j1(), product=ProductKind.PRODUCT,
@@ -224,12 +223,12 @@ def test_intervals_are_contractible():
                     (j_plus(), ProductKind.PRODUCT),
                     (j_plus(), ProductKind.INDUCTIVE)]:
         q = HomotopyQuery(interval=J, product=kind)
-        assert is_contractible(interval(J), q) is not None
+        assert is_contractible(J, q) is not None
 
 
 def test_homotopy_equivalence_interval_vs_point():
     q = HomotopyQuery(interval=j1(), product=ProductKind.PRODUCT)
-    res = homotopy_equivalent(interval(j1()), point_space(), q)
+    res = homotopy_equivalent(j1(), point_space(), q)
     assert res is not None
     # two-point discrete space is not equivalent to the point
     D = build_space(["a", "b"], {"a": {"a"}, "b": {"b"}})
@@ -373,10 +372,56 @@ def test_homotopy_core_against_the_map_graph():
             assert Y == core
 
 
+def test_an_interval_has_the_points_0_to_m():
+    # one point, or points other than 0, 1, ..., m in that order, are no
+    # interval object for any homotopy entry point
+    X = build_space(["x", "y"], {"x": {"x", "y"}, "y": {"y"}})
+    f = ContinuousMap.identity(X)
+    bad = [point_space(), point_space(0),
+           build_space(["a", "b"], {"a": {"a", "b"}, "b": {"b"}}),
+           build_space([1, 0], {0: {0, 1}, 1: {1}})]
+    for J in bad:
+        for kind in ProductKind:
+            q = HomotopyQuery(interval=J, product=kind)
+            for call in (lambda: homotopy_core(X, J, kind),
+                         lambda: homotopic(f, f, q),
+                         lambda: one_step_homotopic(f, f, J, kind),
+                         lambda: MapGraph(X, X, J, kind)):
+                with pytest.raises(BadParameter, match="points 0, 1"):
+                    call()
+
+
+def _outcome(f, g, q):
+    try:
+        w = homotopic(f, g, q)
+    except BoundExceeded:
+        return "bounded"
+    if w is None:
+        return None
+    return w.stages, [(s.maps, s.forward) for s in w.steps]
+
+
+def test_a_built_interval_acts_as_the_named_one():
+    # the space 0 -> 1 built by hand is j_plus, and homotopic answers the same
+    J = build_space([0, 1], {0: [0, 1], 1: [1]})
+    rng = random.Random(29)
+    answers = set()
+    for _ in range(12):
+        X = rand_space(rng, rng.randint(1, 3), prefix="x")
+        Y = rand_space(rng, rng.randint(1, 3), prefix="y")
+        maps = _maps_between(X, Y)
+        for kind in ProductKind:
+            for f, g in itertools.product(maps[:4], repeat=2):
+                got = _outcome(f, g, HomotopyQuery(J, kind, max_steps=1))
+                assert got == _outcome(f, g, HomotopyQuery(j_plus(), kind,
+                                                           max_steps=1))
+                answers.add(got if got in (None, "bounded") else "found")
+    assert answers == {None, "bounded", "found"}
+
+
 def test_homotopy_core_of_interval_powers_is_a_point():
     for theory in (CUBE_J1_TIMES, CUBE_J1_BOX, CUBE_JPLUS_TIMES,
                    CUBE_JPLUS_BOX, SIMPLEX_J1, SIMPLEX_JPLUS):
         J = parse_interval(theory.interval)
-        I = interval(J)
-        for X in (point_space(), I, product(I, I)):
+        for X in (point_space(), J, product(J, J)):
             assert len(homotopy_core(X, J, theory.product).points) == 1

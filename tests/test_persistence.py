@@ -12,7 +12,7 @@ from closuretop import (BadParameter, CapExceeded, Decoration,
                         FilteredClosureSpace, InfinityMismatch,
                         NotACorrespondence, ParseError, PersistenceDiagram,
                         ShapeMismatch, SIMPLEX_J1, WeightedDigraph,
-                        bottleneck, cech, check_correspondence,
+                        bottleneck, build_space, cech, check_correspondence,
                         complex_chain_complex, diagram_from_json,
                         diagram_to_json, distortion, filtered_from_metric,
                         filtered_from_sublevel,
@@ -1087,3 +1087,23 @@ def test_verify_interleaving_refuses_towers_over_different_fields():
         assert verify_interleaving(tower(p), tower(p), 0, ident, ident)
         with pytest.raises(ShapeMismatch):
             verify_interleaving(tower(p), tower(q), 0, ident, ident)
+
+
+def test_towers_of_another_degree_or_field_are_refused():
+    # the path a - b - c with sublevel values 0, 1, 2: towers on one grid
+    # but of two degrees or over two fields make no interleaving frame
+    X = build_space(["a", "b", "c"], {"a": {"a", "b"}, "b": {"a", "b", "c"},
+                                      "c": {"b", "c"}})
+    F = filtered_from_sublevel(X, {"a": 0, "b": 1, "c": 2})
+    T0 = persistence_tower(F, "complex-vr", 0, "f2")
+    T1 = persistence_tower(F, "complex-vr", 1, "f2")
+    Tq = persistence_tower(F, "complex-vr", 0, "q")
+    for T in (T0, T1, Tq):
+        phi = inclusion_interleaving_maps(T, T, 0)
+        assert verify_interleaving(T, T, 0, phi, phi)
+    for A, B, what in ((T0, T1, "degree"), (T1, T0, "degree"),
+                       (T0, Tq, "field"), (Tq, T0, "field")):
+        with pytest.raises(ShapeMismatch, match=what):
+            inclusion_interleaving_maps(A, B, 0)
+        with pytest.raises(ShapeMismatch, match=what):
+            verify_interleaving(A, B, 0, [], [])

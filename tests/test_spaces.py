@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closuretop import (BadParameter, ContinuousMap, FiniteClosureSpace,
-                        IntervalFamily, IntervalSpec, MissingPoint,
-                        NotContinuous, NotReflexive, ParseError, ProductKind,
-                        SourceTargetMismatch, build_space,
-                        closure, coequalizer, coproduct, interior, interval,
-                        is_closed, is_continuous, is_open, is_symmetric, j1,
-                        j_bits, j_bot, j_leq, j_minus, j_plain, j_plus, j_top,
-                        local_base, point_space, product, product_power,
-                        pushout, qd, relabel, reverse, space_from_json,
-                        space_to_json, subspace, symmetrize,
-                        topological_modification)
+                        MissingPoint, NotContinuous, NotReflexive,
+                        ParseError, ProductKind, SourceTargetMismatch,
+                        build_space, closure, coequalizer, coproduct,
+                        interior, is_closed, is_continuous, is_open,
+                        is_symmetric, j1, j_bits, j_bot, j_leq, j_minus,
+                        j_plain, j_plus, j_top, local_base, point_space,
+                        product, product_power, pushout, qd, relabel,
+                        reverse, space_from_json, space_to_json, subspace,
+                        symmetrize, topological_modification)
 from closuretop.spaces import (_quotient, homomorphisms, parse_interval,
                                point_names)
 from conftest import rand_space
@@ -210,7 +209,7 @@ def test_coequalizer_collapses_pair():
 def test_pushout_glues_two_intervals_into_a_longer_one():
     # two copies of the indiscrete interval glued end to start give the
     # three-point zigzag: 1 related to both endpoints both ways
-    J = interval(j1())
+    J = j1()
     P = point_space("s")
     f = ContinuousMap(P, J, {"s": 1})
     g = ContinuousMap(P, J, {"s": 0})
@@ -224,21 +223,21 @@ def test_pushout_glues_two_intervals_into_a_longer_one():
     assert right not in G.closure_map[left]
     assert left not in G.closure_map[right]
     # matches the plain three-point interval up to relabeling
-    expect = interval(j_plain(2))
+    expect = j_plain(2)
     lab = {left: 0, glued: 1, right: 2}
     assert relabel(G, lab) == expect
 
 
 def test_pushout_of_directed_intervals():
     # down-interval then up-interval glued at the middle: c(1) = {0, 1, 2}
-    Jm = interval(j_minus())
-    Jp = interval(j_plus())
+    Jm = j_minus()
+    Jp = j_plus()
     P = point_space("s")
     f = ContinuousMap(P, Jm, {"s": 1})
     g = ContinuousMap(P, Jp, {"s": 0})
     G, inl, inr = pushout(f, g)
     lab = {inl(0): 0, inl(1): 1, inr(1): 2}
-    expect = interval(j_bits(2, 2))  # 0 <- 1 -> 2 as closures
+    expect = j_bits(2, 2)  # 0 <- 1 -> 2 as closures
     assert relabel(G, lab) == expect
 
 
@@ -254,23 +253,23 @@ def test_subspace_closures():
 # interval objects
 
 def test_interval_families():
-    J = interval(j1())
+    J = j1()
     assert J.closure_map[0] == frozenset({0, 1})
     assert J.closure_map[1] == frozenset({0, 1})
-    Jp = interval(j_plus())
+    Jp = j_plus()
     assert Jp.closure_map[0] == frozenset({0, 1})
     assert Jp.closure_map[1] == frozenset({1})
-    Jm = interval(j_minus())
+    Jm = j_minus()
     assert Jm.closure_map[1] == frozenset({0, 1})
     assert Jm.closure_map[0] == frozenset({0})
-    Jb = interval(j_bot(2))
+    Jb = j_bot(2)
     assert all(Jb.closure_map[i] == frozenset({i}) for i in range(3))
-    Jt = interval(j_top(2))
+    Jt = j_top(2)
     assert all(Jt.closure_map[i] == frozenset({0, 1, 2}) for i in range(3))
-    J2 = interval(j_plain(2))
+    J2 = j_plain(2)
     assert J2.closure_map[1] == frozenset({0, 1, 2})
     assert J2.closure_map[0] == frozenset({0, 1})
-    Jl = interval(j_leq(2))
+    Jl = j_leq(2)
     assert Jl.closure_map[0] == frozenset({0, 1, 2})
     assert Jl.closure_map[1] == frozenset({1, 2})
     assert Jl.closure_map[2] == frozenset({2})
@@ -280,8 +279,13 @@ def test_parse_interval_names_and_errors():
     named = {"j1": j1(), " JPlus ": j_plus(), "jminus": j_minus(),
              "top:2": j_top(2), "bot:1": j_bot(1), "plain:3": j_plain(3),
              "leq:2": j_leq(2), "bits:2:1": j_bits(2, 1)}
-    for text, spec in named.items():
-        assert parse_interval(text) == spec
+    for text, J in named.items():
+        got = parse_interval(text)
+        assert isinstance(got, FiniteClosureSpace)
+        assert got == J and got.points == tuple(range(len(J)))
+    # bits:2:1 directs 0 -> 1 (1 in c(0)) and 1 <- 2 (1 in c(2))
+    assert parse_interval("bits:2:1") == build_space(
+        [0, 1, 2], {0: {0, 1}, 1: {1}, 2: {1, 2}})
     # a malformed name is a parse error, an out-of-range m or k is not
     for text in ("top:x", "bits:2:y", "top", "bits:2", "j1:1", "foo", ""):
         with pytest.raises(ParseError):
@@ -292,12 +296,13 @@ def test_parse_interval_names_and_errors():
 
 
 def test_bits_family_covers_plus_minus():
-    assert interval(j_bits(1, 1)) == interval(j_plus())
-    assert interval(j_bits(1, 0)) == interval(j_minus())
-    with pytest.raises(BadParameter):
-        IntervalSpec(IntervalFamily.BITS, 2, 4)
-    with pytest.raises(BadParameter):
-        IntervalSpec(IntervalFamily.TOP, 0)
+    assert j_bits(1, 1) == j_plus() == build_space([0, 1], {0: {0, 1}, 1: {1}})
+    assert j_bits(1, 0) == j_minus() == build_space([0, 1], {0: {0}, 1: {0, 1}})
+    for make, args in ((j_bits, (2, 4)), (j_bits, (2, -1)), (j_bits, (0, 0)),
+                       (j_top, (0,)), (j_bot, (0,)), (j_plain, (-1,)),
+                       (j_leq, (0,))):
+        with pytest.raises(BadParameter):
+            make(*args)
 
 
 def test_json_roundtrip():
