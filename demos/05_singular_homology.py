@@ -27,7 +27,8 @@ print("directed square has no nondegenerate relations:",
 B = homology_basis(C, 1, "z")
 print("generator count:", B.dimension)
 cycle = B.generators[0]
-print("coords of the generator in its own basis:", B.coords(cycle))
+print("sparse coords {position: coefficient} of the generator in its own "
+      "basis:", B.coords(cycle))
 
 # torsion shows up with integer coefficients: a 6-vertex closed surface
 # whose H_1 is the cyclic group of order two

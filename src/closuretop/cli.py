@@ -275,8 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="j1",
                    help="j1, jplus, jminus, top:m, bot:m, plain:m, leq:m, bits:m:k")
     p.add_argument("--product", default="x", choices=["x", "box"])
-    p.add_argument("--max-steps", type=_nonnegative, default=8)
-    p.add_argument("--cap", type=_nonnegative, default=5)
+    p.add_argument("--max-steps", type=_nonnegative,
+                   default=HomotopyQuery.max_steps)
+    p.add_argument("--cap", type=_nonnegative, default=HomotopyQuery.size_cap)
     p.set_defaults(func=cmd_homotopic)
 
     for name, title in (("vr", "Vietoris-Rips"), ("cech", "Cech")):

@@ -10,6 +10,8 @@ the rule that reads a vertex image as a signed basis element or zero,
 so a chain map asks its target, not a theory.  Boundary matrices are
 integer matrices; groups over Z, Q and every F_p are read off their
 invariant factors, and a field reduction gives bases and induced maps.
+Chains, coordinates and induced maps (one column per source generator)
+are sparse {position: coefficient} vectors with no zero entries.
 Each theory is homotopy invariant under its own interval and product, so
 singular_homology computes a space's groups on its homotopy core
 (homotopy.homotopy_core); bases, induced maps and towers need the
@@ -424,8 +426,9 @@ class IntegerHomologyBasis:
             self.generators.append({s: c for s, c in vec.items() if c})
 
     def coords(self, cycle):
-        """Coordinates of a sparse cycle {basis index: coefficient}:
-        torsion entries reduced modulo the order."""
+        """Coordinates {generator position: coefficient} of a sparse cycle
+        {basis index: coefficient}: torsion entries reduced modulo the
+        order, zero entries dropped."""
         a = self._lattice_coords(cycle)
         if a is None:
             raise BadParameter("not a cycle in the tracked lattice")
@@ -434,12 +437,12 @@ class IntegerHomologyBasis:
             if f:
                 for s, c in col.items():
                     a[s] = a.get(s, 0) - f * c
-        y = [a.get(r, 0) for r in self._rows]
-        out = []
-        for pos, i in enumerate(self._kept):
-            b = sum(u * v for u, v in zip(self._U[i], y))
-            d = self.orders[pos]
-            out.append(b % d if d else b)
+        y = {t: a[r] for t, r in enumerate(self._rows) if a.get(r)}
+        out = {}
+        for pos, (i, d) in enumerate(zip(self._kept, self.orders)):
+            b = sum(self._U[i][t] * v for t, v in y.items())
+            if b := (b % d if d else b):
+                out[pos] = b
         return out
 
 
@@ -472,12 +475,11 @@ class FieldHomologyBasis:
         self.orders = [0] * self.dimension
 
     def coords(self, cycle):
-        F = self.field
+        """Sparse coordinates of a cycle, as IntegerHomologyBasis.coords."""
         rest, tag = self._reducer.reduce(cycle, {})
         if rest:
             raise BadParameter("vector is outside the tracked span")
-        return [F.of(-tag[g]) if g in tag else F.zero
-                for g in range(self.dimension)]
+        return {g: self.field.of(-c) for g, c in tag.items()}
 
 
 def homology_basis(C: ChainComplex, n: int, coefficients: str = "z",
@@ -521,7 +523,7 @@ def chain_map_columns(C_src: ChainComplex, C_tgt: ChainComplex, n: int,
 class InducedMap:
     source: object   # homology basis of the source
     target: object   # homology basis of the target
-    matrix: list     # rows = target coordinates, columns = source generators
+    columns: list    # per source generator, its image's target coords
 
 
 def induced_map_between(C_src: ChainComplex, C_tgt: ChainComplex, mapping,
@@ -531,22 +533,20 @@ def induced_map_between(C_src: ChainComplex, C_tgt: ChainComplex, mapping,
     src = src_basis or homology_basis(C_src, n, coefficients, reduced=reduced)
     tgt = tgt_basis or homology_basis(C_tgt, n, coefficients, reduced=reduced)
     cols = chain_map_columns(C_src, C_tgt, n, mapping)
-    matrix_cols = []
+    columns = []
     for gen in src.generators:
         image = {}
         for j, coeff in gen.items():
             for r, c in cols[j].items():
                 image[r] = image.get(r, 0) + coeff * c
-        matrix_cols.append(tgt.coords(image))
-    matrix = [[matrix_cols[j][i] for j in range(len(matrix_cols))]
-              for i in range(tgt.dimension)]
-    return InducedMap(src, tgt, matrix)
+        columns.append(tgt.coords(image))
+    return InducedMap(src, tgt, columns)
 
 
 def induced_map(f: ContinuousMap, theory: Theory, n: int,
                 coefficients: str = "z", reduced: bool = False,
                 cap: int = None) -> InducedMap:
-    """Matrix of f_* on degree-n singular homology."""
+    """f_* on degree-n singular homology, as sparse columns."""
     if not isinstance(f, ContinuousMap):
         raise NotContinuous("induced_map expects a validated continuous map")
     C_src = singular_chain_complex(f.source, theory, n + 1, cap=cap)

@@ -8,9 +8,9 @@ reduced, reading the cofaces' births from the filtration's pair-birth
 table; one birth rule per construction serves both the cofaces and the
 listed simplices.  The module also provides the bottleneck distance,
 correspondence distortion with the derived Gromov-Hausdorff distance,
-and interleaving verification.  Tower maps act on sparse vectors: the
-sweep and the interleaving identities push vectors through the stage
-maps, and no composite matrix is formed.
+and interleaving verification.  Tower and interleaving maps are sparse
+columns, one vector of target coordinates per source generator, and the
+sweep and the identities push vectors through them: no matrix is formed.
 """
 from __future__ import annotations
 
@@ -267,18 +267,20 @@ def persistence_complex(F: FilteredClosureSpace, construction: str = "vr",
 # route 2: homology towers
 
 def _image(F, M, v):
-    """The matrix M (a list of rows) applied to the sparse vector v."""
+    """The map M (sparse columns) applied to the sparse vector v."""
     out = {}
-    p = F.p
-    for r, row in enumerate(M):
-        c = F.zero
-        for i, a in v.items():
-            c += row[i] * a
-        if p:
-            c %= p
-        if c:
-            out[r] = c
-    return out
+    for i, a in v.items():
+        for r, c in M[i].items():
+            out[r] = out.get(r, F.zero) + a * c
+    if F.p:
+        out = {r: c % F.p for r, c in out.items()}
+    return {r: c for r, c in out.items() if c}
+
+
+def _check_map(M, n, m, what):
+    """Refuse M unless it is n sparse columns with rows in range(m)."""
+    if len(M) != n or any(r not in range(m) for col in M for r in col):
+        raise ShapeMismatch(f"{what} has the wrong shape")
 
 
 class Tower:
@@ -295,8 +297,7 @@ class Tower:
         if any(not a < b for a, b in zip(grid, grid[1:])):
             raise ShapeMismatch("tower grid must be strictly increasing")
         for i, M in enumerate(maps):
-            if len(M) != dims[i + 1] or any(len(r) != dims[i] for r in M):
-                raise ShapeMismatch(f"map {i} has the wrong shape")
+            _check_map(M, dims[i], dims[i + 1], f"map {i}")
         self.grid = grid
         self.dims = list(dims)
         self.maps = list(maps)
@@ -333,16 +334,16 @@ def _stage_complex(stage, theory, top):
     raise BadParameter(f"unknown theory {theory!r}")
 
 
-def _inclusion_matrix(C_src, B_src, C_tgt, B_tgt, degree):
-    """The matrix, in the bases B_src and B_tgt, of the map on homology
-    in the given degree that C_src's points (its 0-cells) induce by
-    inclusion into C_tgt; ShapeMismatch if a point is missing there."""
+def _inclusion_map(C_src, B_src, C_tgt, B_tgt, degree):
+    """The sparse columns, in the bases B_src and B_tgt, of the map on
+    homology in the given degree that C_src's points (its 0-cells) induce
+    by inclusion into C_tgt; ShapeMismatch if a point is missing there."""
     mapping = {b[0]: b[0] for b in C_src.basis.get(0, [])}
     for x in mapping:
         if (x,) not in C_tgt.index.get(0, {}):
             raise ShapeMismatch(f"point {x!r} is not included downstream")
     return induced_map_between(C_src, C_tgt, mapping, degree,
-                               src_basis=B_src, tgt_basis=B_tgt).matrix
+                               src_basis=B_src, tgt_basis=B_tgt).columns
 
 
 def persistence_tower(F: FilteredClosureSpace, theory, degree: int,
@@ -357,8 +358,8 @@ def persistence_tower(F: FilteredClosureSpace, theory, degree: int,
     complexes = [_stage_complex(F.stage_at(t), theory, degree + 1)
                  for t in grid]
     bases = [homology_basis(C, degree, coefficients) for C in complexes]
-    maps = [_inclusion_matrix(complexes[i], bases[i], complexes[i + 1],
-                              bases[i + 1], degree)
+    maps = [_inclusion_map(complexes[i], bases[i], complexes[i + 1],
+                           bases[i + 1], degree)
             for i in range(len(grid) - 1)]
     return Tower(grid, [b.dimension for b in bases], maps, field, degree,
                  complexes=complexes, bases=bases)
@@ -434,36 +435,28 @@ def _augment(adj, match_right, root):
     return False
 
 
-def _bipartite_feasible(dist, ranked, half1, half2, eps):
-    """Perfect matching of bars and diagonal copies within eps; ranked[i]
-    holds the bars2 indices sorted by their distance from bar i."""
-    n1, n2 = len(half1), len(half2)
-    size = n1 + n2
-    # left: bars1 then the diagonal copies of bars2; right: bars2 then
-    # the diagonal copies of bars1
-    adj = [near[:bisect_right(near, eps, key=row.__getitem__)]
-           + ([n2 + i] if half1[i] <= eps else [])
-           for i, (row, near) in enumerate(zip(dist, ranked))]
-    copies1 = list(range(n2, size))
-    adj += [([j] if half2[j] <= eps else []) + copies1 for j in range(n2)]
-    match_right = [-1] * size
-    # the diagonal copies of bars1 are interchangeable, and a matched
-    # right vertex stays matched, so one cursor hands out the free ones
-    cursor = n2
-    for u in range(size):
-        # take a free neighbour first; the search only runs when none is left
-        if u < n1:
-            v = next((v for v in adj[u] if match_right[v] == -1), None)
-        elif half2[u - n1] <= eps and match_right[u - n1] == -1:
-            v = u - n1
-        else:
-            while cursor < size and match_right[cursor] != -1:
-                cursor += 1
-            v = cursor if cursor < size else None
-        if v is not None:
-            match_right[v] = u
-        elif not _augment(adj, match_right, u):
-            return False
+def _bipartite_feasible(sides, eps):
+    """Whether the bars of two diagrams match within eps, leaving only
+    bars within eps of the diagonal (half length <= eps) unmatched.
+
+    sides holds, per diagram, the L-infinity distances of its bars to
+    the other's, the other's bars ranked by that distance, and its half
+    lengths, all doubled like eps.  Such a matching exists iff the long
+    bars of each side can be matched on their own: the union of two
+    matchings holds one that covers what both cover (Mendelsohn and
+    Dulmage, 1958).
+    """
+    for (dist, ranked, half), (_, _, other) in zip(sides, sides[::-1]):
+        adj = {u: near[:bisect_right(near, eps, key=dist[u].__getitem__)]
+               for u, (near, h) in enumerate(zip(ranked, half)) if h > eps}
+        match_right = [-1] * len(other)
+        for u, near in adj.items():
+            # take a free neighbour first; search only when none is left
+            v = next((v for v in near if match_right[v] == -1), None)
+            if v is not None:
+                match_right[v] = u
+            elif not _augment(adj, match_right, u):
+                return False
     return True
 
 
@@ -484,10 +477,10 @@ def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
     """Bottleneck distance between two diagrams of the same degree.
 
     The distance is the least candidate eps (zero, a bar's half length
-    or an L-infinity distance between two bars) admitting a perfect
-    matching; feasibility grows with eps, so the sorted candidates are
-    binary-searched.  Endpoints are scaled by a common denominator so
-    the search compares integers.
+    or an L-infinity distance between two bars) at which the bars match
+    within eps, each bar left over within eps of the diagonal; it grows
+    with eps, so the sorted candidates are binary-searched.  Doubled and
+    scaled by a common denominator, the values compared are integers.
     """
     if D1.degree != D2.degree:
         raise BadParameter("bottleneck compares diagrams of one degree")
@@ -501,21 +494,23 @@ def bottleneck(D1: PersistenceDiagram, D2: PersistenceDiagram):
               for D in (D1, D2)]
     if not any(finite):
         return inf_cost
-    # a common denominator, doubled so that half lengths are integers too
-    scale = 2 * math.lcm(*(v.denominator for bars in finite
-                           for bar in bars for v in bar))
-    bars1, bars2 = ([(int(b * scale), int(d * scale)) for b, d in bars]
-                    for bars in finite)
-    half1 = [(d - b) // 2 for b, d in bars1]
-    half2 = [(d - b) // 2 for b, d in bars2]
-    dist = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in bars2]
-            for b, d in bars1]
-    ranked = [sorted(range(len(bars2)), key=row.__getitem__) for row in dist]
+    # each bar as u = b + d, v = d - b over a common denominator, so all
+    # are integers: twice the bar's half length is v, and twice the
+    # L-infinity distance of two bars is |u - u2| + |v - v2|
+    scale = math.lcm(*(v.denominator for bars in finite
+                       for bar in bars for v in bar))
+    bars1, bars2 = ([(int((b + d) * scale), int((d - b) * scale))
+                     for b, d in bars] for bars in finite)
+    half1, half2 = ([v for _, v in bars] for bars in (bars1, bars2))
+    dist = [[abs(u - u2) + abs(v - v2) for u2, v2 in bars2]
+            for u, v in bars1]
+    dist2 = list(zip(*dist)) or [()] * len(bars2)  # no rows without bars1
+    sides = [(rows, [sorted(range(len(row)), key=row.__getitem__)
+                     for row in rows], half)
+             for rows, half in ((dist, half1), (dist2, half2))]
     cands = sorted({0, *half1, *half2, *(x for row in dist for x in row)})
-    least = _least_feasible(
-        cands,
-        lambda eps: _bipartite_feasible(dist, ranked, half1, half2, eps))
-    return max(inf_cost, Fraction(least, scale))
+    least = _least_feasible(cands, lambda eps: _bipartite_feasible(sides, eps))
+    return max(inf_cost, Fraction(least, 2 * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +624,9 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
     """Check the four interleaving identities on the common grid.
 
     M and N must share one grid, degree and field; phi[i] maps M at
-    grid[i] into N at grid[i]+eps, psi[i] the other way.  Checks the two
-    triangle identities and naturality of both families on each stage's
-    unit vectors.
+    grid[i] into N at grid[i]+eps, psi[i] the other way, in the sparse
+    columns of tower maps.  Checks the two triangle identities and
+    naturality of both families on each stage's unit vectors.
     """
     _check_towers(M, N)
     F = M.field
@@ -644,10 +639,8 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
         j = shift[i]
         if j is None:
             raise ShapeMismatch("eps shifts below the grid")
-        if len(phi[i]) != N.dims[j] or any(len(r) != M.dims[i] for r in phi[i]):
-            raise ShapeMismatch(f"phi[{i}] has the wrong shape")
-        if len(psi[i]) != M.dims[j] or any(len(r) != N.dims[i] for r in psi[i]):
-            raise ShapeMismatch(f"psi[{i}] has the wrong shape")
+        _check_map(phi[i], M.dims[i], N.dims[j], f"phi[{i}]")
+        _check_map(psi[i], N.dims[i], M.dims[j], f"psi[{i}]")
     for A, B, f, g in ((M, N, phi, psi), (N, M, psi, phi)):
         for i in range(k):
             j = shift[i]
@@ -667,7 +660,7 @@ def verify_interleaving(M: Tower, N: Tower, eps, phi, psi) -> bool:
 
 
 def inclusion_interleaving_maps(A: Tower, B: Tower, eps):
-    """phi matrices A -> B induced by stage-wise point inclusions.
+    """phi maps A -> B induced by stage-wise point inclusions.
 
     Both towers must share one merged grid, degree and field and come
     from persistence_tower so their complexes and bases are available.
@@ -680,6 +673,6 @@ def inclusion_interleaving_maps(A: Tower, B: Tower, eps):
         j = B.index_at(t + eps)
         if j is None:
             raise ShapeMismatch("eps shifts below the grid")
-        out.append(_inclusion_matrix(A._complexes[i], A._bases[i],
-                                     B._complexes[j], B._bases[j], A.degree))
+        out.append(_inclusion_map(A._complexes[i], A._bases[i],
+                                  B._complexes[j], B._bases[j], A.degree))
     return out

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, files, exit codes."""
+import dataclasses
 import importlib
 import json
 import random
@@ -11,6 +12,7 @@ from closuretop import cli, spaces
 from closuretop.cli import main
 from closuretop.homology import (homology, parse_theory,
                                  singular_chain_complex)
+from closuretop.homotopy import HomotopyQuery
 from conftest import rand_space
 
 # the package exports the function homology under the module's name
@@ -249,6 +251,13 @@ def test_homotopic_command(tmp_path, capsys):
     assert main(["homotopic", str(sp3), str(sp3), str(f), str(g),
                  "--interval", "jplus"]) == 0
     assert capsys.readouterr().out.startswith("homotopic in 1 step(s)")
+
+
+def test_homotopic_defaults_are_the_query_defaults():
+    args = cli.build_parser().parse_args(["homotopic", "x", "y", "f", "g"])
+    defaults = {f.name: f.default for f in dataclasses.fields(HomotopyQuery)}
+    assert (args.max_steps, args.cap) == (defaults["max_steps"],
+                                          defaults["size_cap"])
 
 
 def test_bad_budgets_are_reported(space_path, square_path, tmp_path, capsys):

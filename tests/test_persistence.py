@@ -418,6 +418,24 @@ def test_tower_index_against_scan_and_grid_order():
     for bad in ((0, 2, 1), (0, 1, 1)):
         with pytest.raises(ShapeMismatch):
             Tower(bad, [0] * 3, [[]] * 2, Field(2), 0)
+    # a map from dimension 2 to 1 is two sparse columns with rows in {0}
+    assert Tower((0, 1), [2, 1], [[{0: 1}, {}]], Field(2), 0).dims == [2, 1]
+    for bad in ([{0: 1}], [{0: 1}, {}, {}], [{0: 1}, {1: 1}],
+                [{0: 1}, {-1: 1}]):
+        with pytest.raises(ShapeMismatch, match="map 0"):
+            Tower((0, 1), [2, 1], [bad], Field(2), 0)
+
+
+def _columns(A, cols):
+    """The dense matrix A (a list of rows) with cols columns as sparse
+    columns, the form of tower and interleaving maps."""
+    return [{r: row[c] for r, row in enumerate(A) if row[c]}
+            for c in range(cols)]
+
+
+def _rows(F, M, rows):
+    """The sparse columns M as a dense matrix with the given row count."""
+    return [[col.get(r, F.zero) for col in M] for r in range(rows)]
 
 
 def _oracle_mul(F, A, B, cols):
@@ -459,7 +477,8 @@ def _oracle_diagram(T):
                for a in range(T.dims[i])]
         r[i][i] = T.dims[i]
         for j in range(i + 1, k):
-            acc = _oracle_mul(F, T.maps[j - 1], acc, T.dims[i])
+            acc = _oracle_mul(F, _rows(F, T.maps[j - 1], T.dims[j]), acc,
+                              T.dims[i])
             r[i][j] = _oracle_rank(F, acc)
 
     def rr(i, j):
@@ -497,7 +516,7 @@ def test_tower_sweep_matches_rank_function_oracle():
                  for _ in range(inner)]
             M = _oracle_mul(F, L, R, a)
             ranks_seen.add((min(a, b), _oracle_rank(F, M)))
-            maps.append(M)
+            maps.append(_columns(M, a))
         T = Tower(grid, dims, maps, F, 0)
         assert tower_to_diagram(T).as_multiset() == _oracle_diagram(T)
     assert {(m, r) for m in range(5) for r in range(m + 1)} <= ranks_seen
@@ -525,8 +544,7 @@ def test_bottleneck_hand_values():
 
 
 def test_bottleneck_of_long_diagrams():
-    # 1200 bars each side: a recursive augmenting-path search goes about
-    # one level deeper per matched diagonal copy and overflows the stack
+    # 1200 bars each side, each bar shifted by 1/2
     A = PersistenceDiagram(0, tuple((i, i + 10) for i in range(1200)))
     half = Fraction(1, 2)
     B = PersistenceDiagram(0, tuple((i + half, i + 10 + half)
@@ -606,6 +624,12 @@ def _scan_bottleneck(A, B):
 
 
 def test_bottleneck_against_brute_force():
+    # within 2, the long bar (0, 6) of A reaches only the short bar (2, 4)
+    # of B, and the long bar (20, 26) of B only the short bar (22, 24) of
+    # A: each side's long bars are covered, through different short bars
+    A = PersistenceDiagram(0, ((0, 6), (22, 24)))
+    B = PersistenceDiagram(0, ((20, 26), (2, 4)))
+    assert bottleneck(A, B) == _brute_force_bottleneck(A, B) == 2
     rng = random.Random(139)
     for _ in range(40):
         k = rng.randint(0, 1)
@@ -949,7 +973,8 @@ def _oracle_structure(T, i, j):
     acc = [[F.of(1) if a == b else F.zero for b in range(T.dims[i])]
            for a in range(T.dims[i])]
     for k in range(i, j):
-        acc = _oracle_mul(F, T.maps[k], acc, T.dims[i])
+        acc = _oracle_mul(F, _rows(F, T.maps[k], T.dims[k + 1]), acc,
+                          T.dims[i])
     return acc
 
 
@@ -992,8 +1017,9 @@ def _rand_tower(rng, F, grid):
     maps = []
     for a, b in zip(dims, dims[1:]):
         inner = rng.randint(0, min(a, b))
-        maps.append(_oracle_mul(F, _rand_matrix(rng, F, b, inner),
-                                _rand_matrix(rng, F, inner, a), a))
+        maps.append(_columns(_oracle_mul(F, _rand_matrix(rng, F, b, inner),
+                                         _rand_matrix(rng, F, inner, a), a),
+                             a))
     return Tower(grid, dims, maps, F, 0)
 
 
@@ -1025,7 +1051,10 @@ def test_verify_interleaving_against_dense_oracle():
             psi = [_rand_matrix(rng, F, M.dims[j], N.dims[i])
                    for i, j in enumerate(shift)]
         failed = _oracle_failures(M, N, eps, phi, psi)
-        assert verify_interleaving(M, N, eps, phi, psi) == (not failed)
+        sparse_phi = [_columns(m, M.dims[i]) for i, m in enumerate(phi)]
+        sparse_psi = [_columns(m, N.dims[i]) for i, m in enumerate(psi)]
+        assert (verify_interleaving(M, N, eps, sparse_phi, sparse_psi)
+                == (not failed))
         seen.add(failed)
     assert {frozenset(s) for s in ((), (0,), (1,), (2,), (3,))} <= seen
 
@@ -1057,18 +1086,26 @@ def test_interleaving_rejects_bad_maps():
     T1 = persistence_tower(X1, "complex-vr", 0, "f2", grid=grid)
     F = T1.field
     one = F.of(1)
-    zero = F.zero
     # zero maps have the right shapes but break the triangle identity
-    phi = [[[zero, zero]], [[zero]]]
-    psi = [[[zero], [zero]], [[zero]]]
+    phi = [[{}, {}], [{}]]
+    psi = [[{}], [{}]]
     assert not verify_interleaving(T2, T1, 0, phi, psi)
     # an honest collapse map passes: everything merges by the shift
     eps = Fraction(1)
-    phi = [[[one, one]], [[one]]]
-    psi = [[[one]], [[one]]]
+    phi = [[{0: one}, {0: one}], [{0: one}]]
+    psi = [[{0: one}], [{0: one}]]
     assert verify_interleaving(T2, T1, eps, phi, psi)
     with pytest.raises(ShapeMismatch):
-        verify_interleaving(T2, T1, 0, [[[zero]]], psi)
+        verify_interleaving(T2, T1, 0, [[{}]], psi)
+    # phi[0] takes the two generators of T2 at 0 into the one of T1, and
+    # psi[0] the one of T1 at 0 into the two of T2: a column too few or
+    # too many, or a row out of range, has the wrong shape
+    for bad in ([{}], [{}, {}, {}], [{}, {1: one}]):
+        with pytest.raises(ShapeMismatch, match=r"phi\[0\]"):
+            verify_interleaving(T2, T1, 0, [bad, [{}]], psi)
+    for bad in ([], [{}, {}], [{2: one}]):
+        with pytest.raises(ShapeMismatch, match=r"psi\[0\]"):
+            verify_interleaving(T2, T1, 0, phi, [bad, [{}]])
     grid3 = (Fraction(0), Fraction(2))
     T3 = persistence_tower(X1, "complex-vr", 0, "f2", grid=grid3)
     with pytest.raises(ShapeMismatch):
@@ -1080,9 +1117,9 @@ def test_verify_interleaving_refuses_towers_over_different_fields():
     # over another field on the same grid is refused
     def tower(p):
         F = Field(p)
-        return Tower((0, 1), [1, 1], [[[F.of(1)]]], F, 0)
+        return Tower((0, 1), [1, 1], [[{0: F.of(1)}]], F, 0)
 
-    ident = [[[1]], [[1]]]
+    ident = [[{0: 1}], [{0: 1}]]
     for p, q in ((2, 3), (2, 0)):
         assert verify_interleaving(tower(p), tower(p), 0, ident, ident)
         with pytest.raises(ShapeMismatch):
